@@ -44,7 +44,9 @@ def _decode_header(blob: bytes) -> tuple[dict, int]:
 def write_array(path: str | Path, arr: np.ndarray, dtype: str = "f64") -> None:
     if dtype not in _DTYPES:
         raise ContractError(f"dtype must be 'f32' or 'f64', got {dtype!r}")
-    arr = np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
+    # not ascontiguousarray, which gives a 0-d array shape (1,); tobytes()
+    # writes row-major whatever the layout
+    arr = np.asarray(arr, dtype=_DTYPES[dtype])
     header = {"shape": list(arr.shape), "dtype": dtype}
     Path(path).write_bytes(_encode_header(header) + arr.tobytes())
 
@@ -74,7 +76,7 @@ def write_bundle(
     entries = []
     buffers = []
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
+        arr = np.asarray(arr, dtype=_DTYPES[dtype])
         entries.append({"name": name, "shape": list(arr.shape), "dtype": dtype})
         buffers.append(arr.tobytes())
     header = {"manifest": manifest, "arrays": entries}

@@ -286,13 +286,34 @@ def log(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """GELU activation, tanh approximation."""
     x = a.value
-    inner = _GELU_C * (x + _GELU_A * x**3)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    # x*x*x, not x**3: numpy sends a float power of 3 through libm pow.
+    # asarray because x*x on a 0-d x is a numpy scalar, which has no buffer
+    # for the in-place updates below.
+    t = np.asarray(x * x)
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 1.0 + t
+    out *= x
+    out *= 0.5
 
     def bwd(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner),)
+        # 0.5*(1 + t) + 0.5*x*(1 - t^2)*C*(1 + 3*A*x^2), built in two buffers
+        s = np.asarray(t * t)
+        np.subtract(1.0, s, out=s)
+        s *= x
+        d = np.asarray(x * x)
+        d *= 3.0 * _GELU_A
+        d += 1.0
+        d *= _GELU_C
+        d *= s
+        d += t
+        d += 1.0
+        d *= 0.5
+        d *= g
+        return (d,)
 
     return a.tape.record("gelu", out, (a.index,), bwd)
 
@@ -441,20 +462,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"got {gamma.shape} and {beta.shape}"
         )
     mu = x.value.mean(axis=-1, keepdims=True)
-    var = ((x.value - mu) ** 2).mean(axis=-1, keepdims=True)
+    xhat = x.value - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.value - mu) * inv
-    out = gamma.value * xhat + beta.value
-    lead = tuple(range(x.value.ndim - 1))
+    xhat *= inv
     gv = gamma.value
+    out = xhat * gv
+    out += beta.value
+    lead = tuple(range(x.value.ndim - 1))
 
     def bwd(g):
-        dgamma = (g * xhat).sum(axis=lead) if lead else g * xhat
+        gx = g * xhat
+        dgamma = gx.sum(axis=lead) if lead else gx
         dbeta = g.sum(axis=lead) if lead else g
-        dxhat = g * gv
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
+        m2 = (gx * gv).mean(axis=-1, keepdims=True)  # mean(dxhat * xhat)
+        dx = g * gv  # dxhat
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= xhat * m2
+        dx *= inv
         return dx, dgamma, dbeta
 
     return tape.record("layer_norm", out, (x.index, gamma.index, beta.index), bwd)
@@ -526,12 +551,14 @@ def transposed_conv2d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
     n, c, h, w = xv.shape
     co, kh = kv.shape[1], kv.shape[2]
 
-    t = np.einsum("nchw,cokl->nohwkl", xv, kv)
+    # tensordot runs on BLAS; einsum without optimize= does not
+    t = np.tensordot(xv, kv, axes=([1], [0]))  # (n, h, w, co, k, k)
     out = np.zeros((n, co, ho, wo), dtype=np.float64)
     for di in range(kh):
         for dj in range(kh):
             out[:, :, di : di + (h - 1) * stride + 1 : stride,
-                dj : dj + (w - 1) * stride + 1 : stride] += t[:, :, :, :, di, dj]
+                dj : dj + (w - 1) * stride + 1 : stride] += (
+                t[:, :, :, :, di, dj].transpose(0, 3, 1, 2))
 
     def bwd(g):
         if single:
@@ -542,8 +569,12 @@ def transposed_conv2d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
             for dj in range(kh):
                 gsub = g[:, :, di : di + (h - 1) * stride + 1 : stride,
                          dj : dj + (w - 1) * stride + 1 : stride]
-                dx += np.einsum("nohw,co->nchw", gsub, kv[:, :, di, dj])
-                dk[:, :, di, dj] = np.einsum("nchw,nohw->co", xv, gsub)
+                dx += np.tensordot(
+                    gsub, kv[:, :, di, dj], axes=([1], [1])
+                ).transpose(0, 3, 1, 2)
+                dk[:, :, di, dj] = np.tensordot(
+                    xv, gsub, axes=([0, 2, 3], [0, 2, 3])
+                )
         return (dx[0] if single else dx), dk
 
     return tape.record(

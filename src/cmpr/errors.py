@@ -3,6 +3,8 @@
 The CLI maps these onto stable exit codes (see cmpr.cli).
 """
 
+from dataclasses import fields
+
 
 class CmprError(Exception):
     """Base class for all cmpr errors."""
@@ -42,3 +44,16 @@ class ConfigError(CmprError):
 
 class NonFiniteError(CmprError):
     """A NaN or Inf appeared where only finite values are allowed."""
+
+
+def check_config_keys(cls: type, d: dict) -> None:
+    """Raise ``ConfigError`` unless ``d`` holds exactly the fields of the
+    dataclass ``cls``, naming every unknown and every missing key."""
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(set(d) - names)
+    missing = sorted(names - set(d))
+    if unknown or missing:
+        raise ConfigError(
+            f"{cls.__name__} dict has unknown keys {unknown} "
+            f"and missing keys {missing}"
+        )

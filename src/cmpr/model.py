@@ -22,7 +22,7 @@ import numpy as np
 from . import arrayio
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError, check_config_keys
 
 MODALITIES = ("fundus", "carotid")
 MLP_RATIO = 2  # encoder MLP hidden width as a multiple of embed_dim
@@ -93,6 +93,7 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
+        check_config_keys(cls, d)
         return cls(**d)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arrayio
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_config_keys
 
 STREAMS = ("fc", "fv", "cv", "eyes")
 _EYE_PHASE_STD = 0.8
@@ -77,6 +77,7 @@ class CohortConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CohortConfig":
+        check_config_keys(cls, d)
         return cls(**d)
 
 

@@ -7,6 +7,8 @@ of the implementations they check.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -44,6 +46,42 @@ def transposed_conv2d_direct(
                                 x[ci, i, j] * kernel[ci, o, di, dj]
                             )
     return out
+
+
+def gelu_tanh_elementwise(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-approximated GELU and its derivative, one element at a time
+    through ``math.tanh``."""
+    c = math.sqrt(2.0 / math.pi)
+    a = 0.044715
+    x = np.asarray(x, dtype=np.float64)
+    value = np.zeros(x.shape, dtype=np.float64)
+    slope = np.zeros(x.shape, dtype=np.float64)
+    for idx in np.ndindex(x.shape):
+        v = float(x[idx])
+        t = math.tanh(c * (v + a * v * v * v))
+        value[idx] = 0.5 * v * (1.0 + t)
+        slope[idx] = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * c * (
+            1.0 + 3.0 * a * v * v
+        )
+    return value, slope
+
+
+def layer_norm_rows(
+    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
+) -> np.ndarray:
+    """Layer norm over the last axis, one row at a time with Python sums."""
+    x = np.asarray(x, dtype=np.float64)
+    d = x.shape[-1]
+    rows = x.reshape(-1, d)
+    out = np.zeros(rows.shape, dtype=np.float64)
+    for r in range(rows.shape[0]):
+        row = [float(v) for v in rows[r]]
+        mean = sum(row) / d
+        var = sum((v - mean) * (v - mean) for v in row) / d
+        scale = 1.0 / math.sqrt(var + eps)
+        for j in range(d):
+            out[r, j] = gamma[j] * (row[j] - mean) * scale + beta[j]
+    return out.reshape(x.shape)
 
 
 def top_k_full_sort(sim: np.ndarray, k: int) -> float:

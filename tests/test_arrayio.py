@@ -26,6 +26,23 @@ def test_array_round_trip_f32(tmp_path):
     np.testing.assert_array_equal(back, arr.astype(np.float32).astype(np.float64))
 
 
+def test_zero_d_array_round_trip(tmp_path):
+    arr = np.asarray(-2.6592600369327779)
+    path = tmp_path / "a.cmpr"
+    arrayio.write_array(path, arr)
+    back = arrayio.read_array(path)
+    assert back.shape == ()
+    assert back.tobytes() == arr.tobytes()
+
+    arrays = OrderedDict([("log_tau", arr), ("w", np.arange(3.0))])
+    arrayio.write_bundle(tmp_path / "b.cmpr", {}, arrays)
+    _, back = arrayio.read_bundle(tmp_path / "b.cmpr")
+    assert list(back) == list(arrays)
+    for name in arrays:
+        assert back[name].shape == arrays[name].shape
+        assert back[name].tobytes() == arrays[name].tobytes()
+
+
 def test_envelope_layout(tmp_path):
     path = tmp_path / "a.cmpr"
     arrayio.write_array(path, np.zeros((2, 2)), dtype="f64")

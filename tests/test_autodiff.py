@@ -14,6 +14,8 @@ from cmpr.errors import (
 
 from oracles import (
     assert_grads_close,
+    gelu_tanh_elementwise,
+    layer_norm_rows,
     matmul_triple_loop,
     transposed_conv2d_direct,
 )
@@ -146,6 +148,78 @@ def test_gelu_at_zero_and_asymptote():
     assert abs(ad.gelu(tape.leaf(np.float64(10.0))).item() - 10.0) < 1e-4
 
 
+# values that reach every regime of the tanh: zero, tiny, moderate, saturated
+GRID = np.array([0.0, 1e-8, -1e-8, 3.0, -3.0, 30.0, -30.0, 1e3, -1e3])
+
+
+def _forward_backward(op, inputs, g):
+    """Run ``op`` on fresh leaves (sharing the input arrays) and apply its
+    backward rule to ``g``; returns (value, input gradients)."""
+    tape = ad.Tape()
+    out = op(*[tape.leaf(v) for v in inputs])
+    return out.value, tape.nodes[out.index].backward_fn(g)
+
+
+def test_gelu_matches_elementwise_oracle():
+    rng = np.random.default_rng(30)
+    for x in [np.asarray(v) for v in GRID] + [GRID, GRID.reshape(3, 3)]:
+        g = rng.uniform(0.5, 2.0, size=x.shape)
+        value, (dx,) = _forward_backward(ad.gelu, (x,), g)
+        want, slope = gelu_tanh_elementwise(x)
+        assert value.shape == x.shape
+        np.testing.assert_allclose(value, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(dx, g * slope, rtol=1e-12, atol=0)
+
+
+def test_layer_norm_matches_row_oracle():
+    rng = np.random.default_rng(31)
+    d = GRID.size
+    gamma = rng.standard_normal(d) + 1.0
+    beta = rng.standard_normal(d)
+    rows = np.stack([np.roll(GRID, i) * (i + 1) for i in range(6)])
+    for x in (GRID, rows.reshape(2, 3, d)):
+        value, _ = _forward_backward(ad.layer_norm, (x, gamma, beta),
+                                     np.ones_like(x))
+        np.testing.assert_allclose(
+            value, layer_norm_rows(x, gamma, beta), rtol=1e-12, atol=1e-12
+        )
+
+
+def test_gelu_and_layer_norm_leave_inputs_intact():
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((2, 3, 5))
+    gamma, beta = rng.standard_normal(5), rng.standard_normal(5)
+    g = rng.standard_normal((2, 3, 5))
+    cases = [
+        (ad.gelu, (x,), g),
+        (ad.gelu, (np.asarray(0.7),), np.asarray(1.3)),
+        (ad.layer_norm, (x, gamma, beta), g),
+        (ad.layer_norm, (x[0, 0], gamma, beta), g[0, 0]),
+    ]
+    for op, inputs, grad_out in cases:
+        arrays = (*inputs, grad_out)
+        before = [a.copy() for a in arrays]
+        _forward_backward(op, inputs, grad_out)
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_second_backward_is_bitwise_equal():
+    # a backward rule that wrote into an array its closure captured would
+    # change the second pass
+    rng = np.random.default_rng(33)
+    tape = ad.Tape()
+    x = tape.leaf(rng.standard_normal((2, 3, 6)), name="x")
+    gamma = tape.leaf(rng.standard_normal(6) + 1.0, name="gamma")
+    beta = tape.leaf(rng.standard_normal(6), name="beta")
+    h = ad.gelu(ad.layer_norm(x, gamma, beta))
+    loss = ad.sum_all(ad.mul(h, tape.leaf(rng.standard_normal((2, 3, 6)))))
+    first = ad.backward(tape, loss)
+    second = ad.backward(tape, loss)
+    for t in (x, gamma, beta):
+        assert first.of(t).tobytes() == second.of(t).tobytes()
+
+
 def test_exp_log_round_trip():
     rng = np.random.default_rng(9)
     x = rng.uniform(0.1, 5.0, size=(4, 4))
@@ -198,15 +272,31 @@ def test_deconv_zero_kernel():
     np.testing.assert_array_equal(out.value, 0.0)
 
 
+# (kernel, stride): the decoder's (2, 2), a kernel wider than the stride
+# (overlapping taps), stride 1, and a stride wider than the kernel (gaps)
+DECONV_GEOMETRIES = [(2, 2), (3, 2), (2, 1), (2, 3)]
+
+
 def test_deconv_seeded_against_direct_summation():
     rng = np.random.default_rng(21)
-    x = rng.standard_normal((2, 3, 3))
-    k = rng.standard_normal((2, 3, 2, 2))
-    expected = transposed_conv2d_direct(x, k, stride=2)
-    tape = ad.Tape()
-    out = ad.transposed_conv2d(tape.leaf(x), tape.leaf(k), stride=2)
-    assert out.value.shape == (3, 6, 6)
-    np.testing.assert_allclose(out.value, expected, rtol=0, atol=1e-13)
+    for kernel, stride in DECONV_GEOMETRIES:
+        for batched in (False, True):
+            x = rng.standard_normal((2, 2, 3, 3) if batched else (2, 3, 3))
+            k = rng.standard_normal((2, 3, kernel, kernel))
+            samples = x if batched else x[None]
+            expected = np.stack(
+                [transposed_conv2d_direct(xs, k, stride) for xs in samples]
+            )
+            tape = ad.Tape()
+            out = ad.transposed_conv2d(tape.leaf(x), tape.leaf(k), stride=stride)
+            side = 2 * stride + kernel  # (H - 1) * stride + kernel, H = 3
+            assert out.value.shape == ((2, 3, side, side) if batched
+                                       else (3, side, side))
+            np.testing.assert_allclose(
+                out.value, expected if batched else expected[0], rtol=0,
+                atol=1e-13, err_msg=f"kernel {kernel} stride {stride} "
+                f"batched {batched}",
+            )
 
 
 def test_deconv_output_size_contract():
@@ -460,17 +550,21 @@ def test_grad_bias_and_mean_axis(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_grad_transposed_conv2d(seed):
     rng = np.random.default_rng(seed)
-    params = {
-        "x": rng.standard_normal((2, 2, 3, 3)),
-        "k": rng.standard_normal((2, 3, 2, 2)),
-    }
-    r = rng.standard_normal((2, 3, 6, 6))
+    for kernel, stride in DECONV_GEOMETRIES:
+        for batched in (False, True):
+            params = {
+                "x": rng.standard_normal((2, 2, 3, 3) if batched else (2, 3, 3)),
+                "k": rng.standard_normal((2, 3, kernel, kernel)),
+            }
+            side = 2 * stride + kernel
+            r = rng.standard_normal((2, 3, side, side) if batched
+                                    else (3, side, side))
 
-    def build(tape, p):
-        out = ad.transposed_conv2d(p["x"], p["k"], stride=2)
-        return ad.sum_all(ad.mul(out, tape.leaf(r)))
+            def build(tape, p):
+                out = ad.transposed_conv2d(p["x"], p["k"], stride=stride)
+                return ad.sum_all(ad.mul(out, tape.leaf(r)))
 
-    fd_check(build, params)
+            fd_check(build, params)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -57,6 +57,19 @@ def test_config_round_trip():
     assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_config_from_dict_names_unknown_key():
+    d = {**EncoderConfig().to_dict(), "embed_dimm": 64}
+    with pytest.raises(ConfigError, match="embed_dimm"):
+        EncoderConfig.from_dict(d)
+
+
+def test_config_from_dict_names_missing_key():
+    d = EncoderConfig().to_dict()
+    del d["depth"]
+    with pytest.raises(ConfigError, match="depth"):
+        EncoderConfig.from_dict(d)
+
+
 # ---------------------------------------------------------------------------
 # initialization
 # ---------------------------------------------------------------------------
@@ -331,6 +344,26 @@ def test_checkpoint_round_trip_forward_bitwise(tmp_path):
     assert list(loaded.arrays) == list(params.arrays)
     after = model.encode(make_view(loaded), TINY, images, "fundus").value
     np.testing.assert_array_equal(before, after)
+
+
+def test_checkpoint_round_trip_learnable_tau(tmp_path):
+    params = model.init_params(TINY, seed=13, learnable_tau_init=0.07)
+    path = tmp_path / "ckpt.cmpr"
+    model.save_checkpoint(path, params, TINY, step=1)
+    loaded, _, _, _, _ = model.load_checkpoint(path)
+    assert list(loaded.arrays) == list(params.arrays)
+    for name, arr in params.arrays.items():
+        assert loaded.arrays[name].shape == arr.shape
+        assert loaded.arrays[name].tobytes() == arr.tobytes()
+    # the reloaded 0-d log_tau still scales a similarity matrix
+    view = make_view(loaded)
+    tau = losses.Temperature(0.07, learnable=True).resolve(view["log_tau"])
+    rng = np.random.default_rng(6)
+    u = losses.EmbeddingBatch(view.tape.leaf(rng.standard_normal((3, 4))),
+                              losses.Modality.FUNDUS)
+    v = losses.EmbeddingBatch(view.tape.leaf(rng.standard_normal((3, 4))),
+                              losses.Modality.CAROTID)
+    assert np.isfinite(losses.clip_loss(u, v, tau).item())
 
 
 def test_checkpoint_rejects_non_checkpoint_bundle(tmp_path):
