@@ -12,18 +12,20 @@ Two layouts share one envelope (magic, version, header length, JSON header):
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, FormatError
 
 MAGIC = b"CMPR"
 FORMAT_VERSION = 1
 
 _DTYPES = {"f32": "<f4", "f64": "<f8"}
+_ENVELOPE = 12  # magic, then little-endian uint32 version and header length
 
 
 def _encode_header(header: dict) -> bytes:
@@ -31,14 +33,64 @@ def _encode_header(header: dict) -> bytes:
     return MAGIC + struct.pack("<II", FORMAT_VERSION, len(payload)) + payload
 
 
-def _decode_header(blob: bytes) -> tuple[dict, int]:
+def _decode(path: str | Path) -> tuple[dict, bytes, int]:
+    """Read ``path`` and parse its envelope: (header, whole file, payload offset).
+
+    Every malformed envelope raises ``FormatError`` naming the file.
+    """
+    blob = Path(path).read_bytes()
+    if len(blob) < _ENVELOPE:
+        raise FormatError(
+            f"{path}: {len(blob)} bytes is shorter than the CMPR envelope"
+        )
     if blob[:4] != MAGIC:
-        raise ContractError("not a CMPR container (bad magic)")
-    version, hlen = struct.unpack("<II", blob[4:12])
+        raise FormatError(f"{path}: not a CMPR container (bad magic)")
+    version, hlen = struct.unpack("<II", blob[4:_ENVELOPE])
     if version != FORMAT_VERSION:
-        raise ContractError(f"unsupported CMPR format version {version}")
-    header = json.loads(blob[12 : 12 + hlen].decode("utf-8"))
-    return header, 12 + hlen
+        raise FormatError(f"{path}: unsupported CMPR format version {version}")
+    offset = _ENVELOPE + hlen
+    if offset > len(blob):
+        raise FormatError(
+            f"{path}: header length {hlen} runs past the end of the file"
+        )
+    try:
+        header = json.loads(blob[_ENVELOPE:offset].decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+        raise FormatError(f"{path}: header is not UTF-8 JSON ({e})") from e
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
+    return header, blob, offset
+
+
+def _payload(
+    path: str | Path, blob: bytes, offset: int, entries: list
+) -> list[np.ndarray]:
+    """The float64 arrays that ``entries`` (header ``{shape, dtype}`` dicts)
+    lay out back to back from ``offset`` to the end of ``blob``."""
+    arrays = []
+    for entry in entries:
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        dtype = entry.get("dtype") if isinstance(entry, dict) else None
+        if (
+            not isinstance(shape, list)
+            or not all(type(s) is int and s >= 0 for s in shape)
+            or dtype not in _DTYPES
+        ):
+            raise FormatError(f"{path}: malformed array entry {entry!r}")
+        np_dtype = np.dtype(_DTYPES[dtype])
+        count = math.prod(shape)
+        end = offset + count * np_dtype.itemsize
+        if end > len(blob):
+            raise FormatError(
+                f"{path}: payload is truncated ({len(blob) - offset} bytes "
+                f"left, shape {shape} needs {end - offset})"
+            )
+        arr = np.frombuffer(blob, dtype=np_dtype, count=count, offset=offset)
+        arrays.append(arr.reshape(shape).astype(np.float64))
+        offset = end
+    if offset != len(blob):
+        raise FormatError(f"{path}: {len(blob) - offset} bytes follow the last array")
+    return arrays
 
 
 def write_array(path: str | Path, arr: np.ndarray, dtype: str = "f64") -> None:
@@ -52,17 +104,10 @@ def write_array(path: str | Path, arr: np.ndarray, dtype: str = "f64") -> None:
 
 
 def read_array(path: str | Path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    header, offset = _decode_header(blob)
+    header, blob, offset = _decode(path)
     if "shape" not in header or "dtype" not in header:
-        raise ContractError("CMPR header is not an array header")
-    shape = tuple(int(s) for s in header["shape"])
-    arr = np.frombuffer(blob[offset:], dtype=_DTYPES[header["dtype"]])
-    if arr.size != int(np.prod(shape)):
-        raise DimensionError(
-            f"payload holds {arr.size} values, header shape {shape}"
-        )
-    return arr.reshape(shape).astype(np.float64)
+        raise ContractError(f"{path}: CMPR header is not an array header")
+    return _payload(path, blob, offset, [header])[0]
 
 
 def write_bundle(
@@ -84,16 +129,13 @@ def write_bundle(
 
 
 def read_bundle(path: str | Path) -> tuple[dict, "OrderedDict[str, np.ndarray]"]:
-    blob = Path(path).read_bytes()
-    header, offset = _decode_header(blob)
+    header, blob, offset = _decode(path)
     if "manifest" not in header or "arrays" not in header:
-        raise ContractError("CMPR header is not a bundle header")
-    arrays: OrderedDict[str, np.ndarray] = OrderedDict()
-    for entry in header["arrays"]:
-        shape = tuple(int(s) for s in entry["shape"])
-        np_dtype = np.dtype(_DTYPES[entry["dtype"]])
-        nbytes = int(np.prod(shape)) * np_dtype.itemsize
-        arr = np.frombuffer(blob[offset : offset + nbytes], dtype=np_dtype)
-        arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
-        offset += nbytes
-    return header["manifest"], arrays
+        raise ContractError(f"{path}: CMPR header is not a bundle header")
+    if not isinstance(header["manifest"], dict) or not isinstance(header["arrays"], list):
+        raise FormatError(f"{path}: bundle manifest or array list is malformed")
+    names = [e.get("name") if isinstance(e, dict) else None for e in header["arrays"]]
+    if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+        raise FormatError(f"{path}: bundle array names are missing or repeated")
+    arrays = _payload(path, blob, offset, header["arrays"])
+    return header["manifest"], OrderedDict(zip(names, arrays))

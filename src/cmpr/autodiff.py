@@ -129,20 +129,38 @@ class Tape:
 
 
 class Gradients:
-    """Per-node gradients from one backward pass."""
+    """Leaf gradients from one backward pass.
 
-    def __init__(self, by_node: list[np.ndarray | None]):
+    Only leaves (parameters, inputs, constants) keep a gradient: ``backward``
+    drops each interior node's gradient once its rule has run.  Asking for
+    an interior tensor, or one from another tape, raises ``ContractError``
+    rather than answering with zeros.
+    """
+
+    def __init__(self, tape: Tape, by_node: list[np.ndarray | None]):
+        self._tape = tape
         self._by_node = by_node
 
+    def _leaf_grad(self, t: Tensor) -> np.ndarray | None:
+        if t.tape is not self._tape:
+            raise ContractError("tensor was not recorded on this tape")
+        node = self._tape.nodes[t.index]
+        if node.backward_fn is not None:
+            raise ContractError(
+                f"gradients are kept for leaves only, not op '{node.op}'"
+            )
+        return self._by_node[t.index]
+
     def of(self, t: Tensor) -> np.ndarray:
-        """Gradient w.r.t. ``t``; zeros if the root does not depend on it."""
-        g = self._by_node[t.index]
+        """Gradient w.r.t. leaf ``t``; zeros if the root does not depend on it."""
+        g = self._leaf_grad(t)
         if g is None:
             return np.zeros_like(t.value)
         return g
 
     def reached(self, t: Tensor) -> bool:
-        return self._by_node[t.index] is not None
+        """Whether the root depends on leaf ``t``."""
+        return self._leaf_grad(t) is not None
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -165,10 +183,13 @@ def _same_tape(*ts: Tensor) -> Tape:
 
 
 def backward(tape: Tape, root: Tensor) -> Gradients:
-    """Gradient of a scalar root w.r.t. every node that feeds it.
+    """Gradient of a scalar root w.r.t. every leaf that feeds it.
 
     Visits each node exactly once, in reverse recording order, which is a
     valid topological order because inputs always precede their consumers.
+    An interior node's gradient is dropped as soon as its rule has run, so
+    at most one frontier of gradients is alive at a time.  The tape itself
+    is left intact: a second ``backward`` on it gives the same result.
     """
     if root.tape is not tape:
         raise ContractError("root tensor was not recorded on this tape")
@@ -185,12 +206,13 @@ def backward(tape: Tape, root: Tensor) -> Gradients:
         node = tape.nodes[i]
         if node.backward_fn is None:
             continue
+        grads[i] = None
         for pidx, pg in zip(node.parents, node.backward_fn(g)):
             if grads[pidx] is None:
                 grads[pidx] = pg
             else:
                 grads[pidx] = grads[pidx] + pg
-    return Gradients(grads)
+    return Gradients(tape, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +234,12 @@ def add(a: Tensor, b) -> Tensor:
     if not _binary_shapes_ok(a.value, b.value):
         raise DimensionError(f"add shapes {a.shape} vs {b.shape}")
     out = a.value + b.value
+    # flags, not the Tensors: the rule needs no input value
+    a_arr, b_arr = a.value.ndim > 0, b.value.ndim > 0
 
     def bwd(g):
-        ga = g if a.value.ndim else np.sum(g)
-        gb = g if b.value.ndim else np.sum(g)
+        ga = g if a_arr else np.sum(g)
+        gb = g if b_arr else np.sum(g)
         return ga, gb
 
     return tape.record("add", out, (a.index, b.index), bwd)
@@ -231,10 +255,12 @@ def sub(a: Tensor, b) -> Tensor:
     if not _binary_shapes_ok(a.value, b.value):
         raise DimensionError(f"sub shapes {a.shape} vs {b.shape}")
     out = a.value - b.value
+    # flags, not the Tensors: the rule needs no input value
+    a_arr, b_arr = a.value.ndim > 0, b.value.ndim > 0
 
     def bwd(g):
-        ga = g if a.value.ndim else np.sum(g)
-        gb = -g if b.value.ndim else -np.sum(g)
+        ga = g if a_arr else np.sum(g)
+        gb = -g if b_arr else -np.sum(g)
         return ga, gb
 
     return tape.record("sub", out, (a.index, b.index), bwd)

@@ -38,6 +38,10 @@ class PairingError(ContractError):
     """Embedding batches do not match the requested contrastive pairing."""
 
 
+class FormatError(ContractError):
+    """A file is not a well-formed CMPR container: truncated or corrupt."""
+
+
 class ConfigError(CmprError):
     """A configuration object is internally inconsistent."""
 

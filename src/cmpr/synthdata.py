@@ -371,23 +371,30 @@ class StreamScheduler:
             raise ContractError("all four streams are empty")
 
     def members(self, stream: str) -> list[StreamMember]:
+        if stream not in self._members:
+            raise ContractError(f"unknown stream {stream!r}, not one of {STREAMS}")
         return self._members[stream]
 
     def n_batches(self, stream: str) -> int:
-        m = len(self._members[stream])
+        m = len(self.members(stream))
         if m < 2:
             return 0
         full, rem = divmod(m, self.batch_size)
         return full + (1 if rem >= 2 else 0)
 
     def epoch_order(self, stream: str, epoch: int) -> np.ndarray:
+        m = len(self.members(stream))
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, 3, STREAMS.index(stream), epoch])
         )
-        return rng.permutation(len(self._members[stream]))
+        return rng.permutation(m)
 
     def batch_at(self, stream: str, index: int) -> StreamBatch | None:
+        """Batch ``index`` of ``stream`` counted across epochs; None if the
+        stream has no batch."""
         nb = self.n_batches(stream)
+        if index < 0:
+            raise ContractError(f"batch index must be >= 0, got {index}")
         if nb == 0:
             return None
         epoch, offset = divmod(index, nb)

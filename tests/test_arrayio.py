@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cmpr import arrayio
-from cmpr.errors import ContractError
+from cmpr.errors import CmprError, ContractError, FormatError
 
 
 def test_array_round_trip_f64(tmp_path):
@@ -95,3 +95,60 @@ def test_bundle_vs_array_headers_are_distinguished(tmp_path):
     arrayio.write_bundle(path2, {}, OrderedDict([("x", np.zeros(3))]))
     with pytest.raises(ContractError):
         arrayio.read_array(path2)
+
+
+# ---------------------------------------------------------------------------
+# byte-level fuzz of the decoder
+# ---------------------------------------------------------------------------
+
+
+def _small_files(tmp_path):
+    """(reader, bytes) of a small array file and a small bundle."""
+    rng = np.random.default_rng(4)
+    arrayio.write_array(tmp_path / "a.cmpr", rng.standard_normal((2, 3)))
+    arrays = OrderedDict(
+        [("w", rng.standard_normal((2, 2))), ("t", np.asarray(0.5))]
+    )
+    arrayio.write_bundle(tmp_path / "b.cmpr", {"kind": "x", "step": 3}, arrays)
+    return [
+        (arrayio.read_array, (tmp_path / "a.cmpr").read_bytes()),
+        (arrayio.read_bundle, (tmp_path / "b.cmpr").read_bytes()),
+    ]
+
+
+def test_every_truncation_raises_format_error(tmp_path):
+    path = tmp_path / "cut.cmpr"
+    for read, blob in _small_files(tmp_path):
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(FormatError, match="cut.cmpr"):
+                read(path)
+
+
+def test_corrupt_header_length_raises_format_error(tmp_path):
+    path = tmp_path / "hlen.cmpr"
+    for read, blob in _small_files(tmp_path):
+        _, true_hlen = struct.unpack("<II", blob[4:12])
+        for hlen in [*range(len(blob) + 2), 2**31, 2**32 - 1]:
+            if hlen == true_hlen:
+                continue
+            path.write_bytes(blob[:8] + struct.pack("<I", hlen) + blob[12:])
+            with pytest.raises(FormatError, match="hlen.cmpr"):
+                read(path)
+
+
+def test_corrupt_header_byte_reads_or_raises_cmpr_error(tmp_path):
+    # a flipped byte may leave a valid header (inside a name, say); any
+    # other outcome must be a CmprError that names the file
+    path = tmp_path / "flip.cmpr"
+    for read, blob in _small_files(tmp_path):
+        _, hlen = struct.unpack("<II", blob[4:12])
+        for i in range(12 + hlen):
+            for byte in b'\x00\xff"-9]}':
+                if blob[i] == byte:
+                    continue
+                path.write_bytes(blob[:i] + bytes([byte]) + blob[i + 1 :])
+                try:
+                    read(path)
+                except CmprError as e:
+                    assert "flip.cmpr" in str(e)

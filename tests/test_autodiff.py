@@ -1,5 +1,8 @@
 """Tape engine: forward semantics, backward rules vs finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -353,6 +356,59 @@ def test_backward_requires_scalar_root():
     x = tape.leaf(np.ones((2, 2)))
     with pytest.raises(ContractError):
         ad.backward(tape, ad.mul(x, 2.0))
+
+
+def test_gradients_are_kept_for_leaves_only():
+    # y feeds z twice, so its gradient is summed from two rules before its
+    # own rule runs and the slot is dropped
+    tape = ad.Tape()
+    xv, wv = np.array([[1.0, -2.0], [0.5, 3.0]]), np.array([[2.0, 0.5], [-1.0, 4.0]])
+    x, w = tape.leaf(xv, name="x"), tape.leaf(wv, name="w")
+    y = ad.mul(x, w)
+    z = ad.add(y, y)
+    loss = ad.sum_all(ad.mul(z, z))
+    grads = ad.backward(tape, loss)
+    # d/dx sum((2xw)^2) = 8 x w^2, and symmetrically for w
+    np.testing.assert_array_equal(grads.of(x), 8.0 * xv * wv * wv)
+    np.testing.assert_array_equal(grads.of(w), 8.0 * wv * xv * xv)
+    assert grads.reached(x) and grads.reached(w)
+    for interior in (y, z, loss):
+        with pytest.raises(ContractError, match="leaves only"):
+            grads.of(interior)
+        with pytest.raises(ContractError, match="leaves only"):
+            grads.reached(interior)
+    other = ad.Tape().leaf(xv)
+    with pytest.raises(ContractError):
+        grads.of(other)
+
+
+def test_unreached_leaf_gradient_is_zero():
+    tape = ad.Tape()
+    x = tape.leaf(np.ones((2, 2)))
+    unused = tape.leaf(np.ones(3))
+    grads = ad.backward(tape, ad.sum_all(x))
+    assert not grads.reached(unused)
+    np.testing.assert_array_equal(grads.of(unused), np.zeros(3))
+
+
+@pytest.mark.parametrize("op, sign", [(ad.add, 1.0), (ad.sub, -1.0)])
+@pytest.mark.parametrize("b_shape", [(3, 4), ()])
+def test_add_sub_do_not_keep_their_inputs_alive(op, sign, b_shape):
+    # their backward rule reads no input value, so the tape must not pin
+    # one after the caller lets go of it
+    rng = np.random.default_rng(5)
+    tape = ad.Tape()
+    a = tape.leaf(rng.standard_normal((3, 4)), name="a")
+    b = tape.leaf(rng.standard_normal(b_shape), name="b")
+    c = op(a, b)
+    a_value = weakref.ref(a.value)
+    del a
+    gc.collect()
+    assert a_value() is None
+    grads = ad.backward(tape, ad.sum_all(c))
+    # a 0-d b is broadcast over all 12 entries of a
+    want = np.full(b_shape, sign * (12.0 if b_shape == () else 1.0))
+    np.testing.assert_array_equal(grads.of(b), want)
 
 
 def test_nonfinite_forward_is_surfaced():

@@ -375,3 +375,42 @@ def test_checkpoint_rejects_non_checkpoint_bundle(tmp_path):
     arrayio.write_bundle(path, {"kind": "cohort"}, OrderedDict([("x", np.ones(2))]))
     with pytest.raises(ContractError):
         model.load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# what a recorded tape keeps alive
+# ---------------------------------------------------------------------------
+
+
+def test_no_backward_rule_captures_a_tensor():
+    # a captured Tensor pins its forward value for the tape's whole life
+    # even when the rule never reads it
+    rng = np.random.default_rng(8)
+    params = model.init_params(TINY, seed=8, learnable_tau_init=0.07)
+    view = make_view(params)
+    tau = losses.Temperature(0.07, learnable=True).resolve(view["log_tau"])
+    batches, heads = [], []
+    for modality in ("fundus", "carotid"):
+        images = rand_images(rng, 3, 8)
+        emb = model.encode(view, TINY, images, modality)
+        proj = model.project(view, TINY, emb, modality)
+        batches.append(losses.EmbeddingBatch(proj, losses.Modality(modality)))
+        measures = view.tape.leaf(rng.standard_normal((3, TINY.n_measures)))
+        heads.append(losses.prediction_mse(
+            measures, model.predict_measures(view, TINY, emb, modality)
+        ))
+        heads.append(losses.reconstruction_mse(
+            view.tape.leaf(images), model.decode(view, TINY, emb, modality)
+        ))
+    loss = losses.clip_loss(*batches, tau)
+    for term in heads:
+        loss = ad.add(loss, term)
+    ops = set()
+    for node in view.tape.nodes:
+        if node.backward_fn is None:
+            continue
+        ops.add(node.op)
+        for cell in node.backward_fn.__closure__ or ():
+            assert not isinstance(cell.cell_contents, ad.Tensor), node.op
+    assert {"add", "sub", "layer_norm", "gelu", "transposed_conv2d"} <= ops
+    assert np.isfinite(loss.item())
