@@ -2,8 +2,8 @@
 
 Pieces: a float64 tape autodiff engine, the contrastive/predictive/
 reconstruction loss stack, top-k retrieval metrics, a toy twin-encoder
-transformer, a synthetic longitudinal two-modality cohort, an AdamW
-training loop, and frozen-embedding downstream probes.
+transformer with checkpoints, and a synthetic longitudinal two-modality
+cohort with its four-stream batch scheduler.
 """
 
 __version__ = "0.1.0"

@@ -2,17 +2,21 @@
 
 Two layouts share one envelope (magic, version, header length, JSON header):
 
-* array file    -- header ``{"shape": [...], "dtype": "f32"|"f64"}``,
+* array file    -- header ``{"shape": [...], "dtype": "f64"}``,
                    payload is the raw little-endian values, row-major.
 * bundle file   -- header ``{"manifest": {...}, "arrays": [{name, shape,
                    dtype}, ...]}``, payload is the arrays' raw buffers
                    concatenated in listed order.  Used for checkpoints.
+
+Writers replace the target in one step (temp file, then ``os.replace``),
+so a crash mid-write leaves the previous file intact.  They do not fsync.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from collections import OrderedDict
 from pathlib import Path
@@ -24,7 +28,7 @@ from .errors import ContractError, FormatError
 MAGIC = b"CMPR"
 FORMAT_VERSION = 1
 
-_DTYPES = {"f32": "<f4", "f64": "<f8"}
+_DTYPES = {"f64": "<f8"}
 _ENVELOPE = 12  # magic, then little-endian uint32 version and header length
 
 
@@ -93,14 +97,26 @@ def _payload(
     return arrays
 
 
-def write_array(path: str | Path, arr: np.ndarray, dtype: str = "f64") -> None:
-    if dtype not in _DTYPES:
-        raise ContractError(f"dtype must be 'f32' or 'f64', got {dtype!r}")
+def _write_atomic(path: str | Path, header: dict, arrays: list[np.ndarray]) -> None:
+    """Write the envelope and the arrays' row-major bytes to a temp file
+    beside ``path``, then move it over ``path``."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with tmp.open("xb") as fh:
+            fh.write(_encode_header(header))
+            for arr in arrays:
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_array(path: str | Path, arr: np.ndarray) -> None:
     # not ascontiguousarray, which gives a 0-d array shape (1,); tobytes()
     # writes row-major whatever the layout
-    arr = np.asarray(arr, dtype=_DTYPES[dtype])
-    header = {"shape": list(arr.shape), "dtype": dtype}
-    Path(path).write_bytes(_encode_header(header) + arr.tobytes())
+    arr = np.asarray(arr, dtype=_DTYPES["f64"])
+    _write_atomic(path, {"shape": list(arr.shape), "dtype": "f64"}, [arr])
 
 
 def read_array(path: str | Path) -> np.ndarray:
@@ -111,21 +127,14 @@ def read_array(path: str | Path) -> np.ndarray:
 
 
 def write_bundle(
-    path: str | Path,
-    manifest: dict,
-    arrays: "OrderedDict[str, np.ndarray]",
-    dtype: str = "f64",
+    path: str | Path, manifest: dict, arrays: "OrderedDict[str, np.ndarray]"
 ) -> None:
-    if dtype not in _DTYPES:
-        raise ContractError(f"dtype must be 'f32' or 'f64', got {dtype!r}")
-    entries = []
-    buffers = []
-    for name, arr in arrays.items():
-        arr = np.asarray(arr, dtype=_DTYPES[dtype])
-        entries.append({"name": name, "shape": list(arr.shape), "dtype": dtype})
-        buffers.append(arr.tobytes())
-    header = {"manifest": manifest, "arrays": entries}
-    Path(path).write_bytes(_encode_header(header) + b"".join(buffers))
+    values = [np.asarray(arr, dtype=_DTYPES["f64"]) for arr in arrays.values()]
+    entries = [
+        {"name": name, "shape": list(arr.shape), "dtype": "f64"}
+        for name, arr in zip(arrays, values)
+    ]
+    _write_atomic(path, {"manifest": manifest, "arrays": entries}, values)
 
 
 def read_bundle(path: str | Path) -> tuple[dict, "OrderedDict[str, np.ndarray]"]:

@@ -75,31 +75,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(node={self.index}, shape={self.value.shape})"
 
-    # arithmetic sugar; semantics live in the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap_scalar(self.tape, other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Tape:
     """Ordered record of operations; one backward pass per recorded root."""
@@ -166,12 +141,6 @@ class Gradients:
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
-
-
-def _wrap_scalar(tape: Tape, x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return tape.leaf(np.float64(x), name="const")
 
 
 def _same_tape(*ts: Tensor) -> Tape:
@@ -519,16 +488,6 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
         return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
 
     return x.tape.record("mean_axis", out, (x.index,), bwd)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = np.asarray(x.value.sum(), dtype=np.float64)
-    shape = x.value.shape
-
-    def bwd(g):
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return x.tape.record("sum_all", out, (x.index,), bwd)
 
 
 def mean_all(x: Tensor) -> Tensor:

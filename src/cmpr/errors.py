@@ -1,7 +1,4 @@
-"""Exception taxonomy shared by every cmpr module.
-
-The CLI maps these onto stable exit codes (see cmpr.cli).
-"""
+"""Exception taxonomy shared by every cmpr module."""
 
 from dataclasses import fields
 

@@ -76,8 +76,6 @@ class Temperature:
     tau: float = 0.07
     learnable: bool = False
 
-    PARAM_NAME = "log_tau"
-
     def __post_init__(self):
         if self.tau <= 0.0:
             raise DomainError(f"temperature must be positive, got {self.tau}")

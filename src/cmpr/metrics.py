@@ -8,7 +8,6 @@ the Mann-Whitney pairwise-concordance form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,25 +26,13 @@ DEFAULT_K_VALUES = (5, 25, 100)
 
 @dataclass
 class MetricReport:
-    """Evaluation results keyed the way the CSV/JSON exports expect."""
+    """Evaluation results keyed the way the CSV export expects."""
 
     k_values: list[int] = field(default_factory=list)
     top_k: dict[int, float] = field(default_factory=dict)
     mult_top_k: dict[int, float] = field(default_factory=dict)
     r2_per_measure: dict[str, float] = field(default_factory=dict)
     auc_per_label: dict[str, float] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k_values": self.k_values,
-                "top_k": {str(k): v for k, v in self.top_k.items()},
-                "mult_top_k": {str(k): v for k, v in self.mult_top_k.items()},
-                "r2_per_measure": self.r2_per_measure,
-                "auc_per_label": self.auc_per_label,
-            },
-            sort_keys=True,
-        )
 
     def csv_rows(self, step: int) -> list[tuple]:
         """One row per (step, metric, k or name, value)."""
@@ -80,21 +67,15 @@ def _check_square(sim: np.ndarray) -> int:
     return sim.shape[0]
 
 
-def top_k_accuracy(sim: np.ndarray, k: int, symmetric: bool = False) -> float:
+def top_k_accuracy(sim: np.ndarray, k: int) -> float:
     """Fraction of rows whose diagonal entry ranks in the row's top k.
 
     Ranking is by descending value; ties break toward the lower column
-    index, so results are deterministic.  ``symmetric`` additionally scores
-    columns as queries (via the transpose) and averages the two directions;
-    the default follows the row-wise definition.
+    index, so results are deterministic.
     """
     n = _check_square(sim)
     if not 1 <= k <= n:
         raise ContractError(f"k must be in [1, {n}], got {k}")
-    if symmetric:
-        return 0.5 * (
-            top_k_accuracy(sim, k) + top_k_accuracy(np.ascontiguousarray(sim.T), k)
-        )
     diag = np.diagonal(sim)[:, None]
     cols = np.arange(n)[None, :]
     rows = np.arange(n)[:, None]
@@ -103,21 +84,17 @@ def top_k_accuracy(sim: np.ndarray, k: int, symmetric: bool = False) -> float:
     return float(np.mean(stronger + tied_earlier < k))
 
 
-def multiplicative_top_k(sim: np.ndarray, k: int, symmetric: bool = False) -> float:
+def multiplicative_top_k(sim: np.ndarray, k: int) -> float:
     """Top-k accuracy divided by the chance rate k/N; 1.0 is random."""
     n = _check_square(sim)
-    return top_k_accuracy(sim, k, symmetric=symmetric) * n / k
+    return top_k_accuracy(sim, k) * n / k
 
 
-def topk_report(
-    sim: np.ndarray,
-    k_values=DEFAULT_K_VALUES,
-    symmetric: bool = False,
-) -> MetricReport:
+def topk_report(sim: np.ndarray, k_values=DEFAULT_K_VALUES) -> MetricReport:
     report = MetricReport(k_values=[int(k) for k in k_values])
     for k in report.k_values:
-        report.top_k[k] = top_k_accuracy(sim, k, symmetric=symmetric)
-        report.mult_top_k[k] = multiplicative_top_k(sim, k, symmetric=symmetric)
+        report.top_k[k] = top_k_accuracy(sim, k)
+        report.mult_top_k[k] = multiplicative_top_k(sim, k)
     return report
 
 

@@ -5,9 +5,8 @@ learned positions, self-attention blocks, mean-pooled tokens), a linear
 projection head for the contrastive space, a 2-layer GELU MLP for measure
 prediction, and a transposed-convolution decoder for reconstruction.
 
-By default the prediction and decoding heads read the pre-projection
-encoder embedding (it preserves more information); set
-``heads_on_projection`` to tap the projected embedding instead.
+The prediction and decoding heads read the pre-projection encoder
+embedding, which preserves more information than the projection.
 """
 
 from __future__ import annotations
@@ -22,7 +21,13 @@ import numpy as np
 from . import arrayio
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, ContractError, DimensionError, check_config_keys
+from .errors import (
+    ConfigError,
+    ContractError,
+    DimensionError,
+    FormatError,
+    check_config_keys,
+)
 
 MODALITIES = ("fundus", "carotid")
 MLP_RATIO = 2  # encoder MLP hidden width as a multiple of embed_dim
@@ -40,7 +45,6 @@ class EncoderConfig:
     pred_hidden: int = 32
     n_measures: int = 4
     decoder_channels: list[int] = field(default_factory=lambda: [32, 16])
-    heads_on_projection: bool = False
 
     def __post_init__(self):
         for name in ("image_size", "patch_size", "embed_dim", "proj_dim",
@@ -77,10 +81,6 @@ class EncoderConfig:
         return 3 * self.patch_size**2
 
     @property
-    def head_input_dim(self) -> int:
-        return self.proj_dim if self.heads_on_projection else self.embed_dim
-
-    @property
     def decoder_seed_hw(self) -> int:
         return self.image_size // 2 ** len(self.decoder_channels)
 
@@ -105,40 +105,6 @@ class ModelParams:
 
     def subset(self, prefix: str) -> dict[str, np.ndarray]:
         return {k: v for k, v in self.arrays.items() if k.startswith(prefix)}
-
-    @property
-    def fundus_encoder(self) -> dict[str, np.ndarray]:
-        return {**self.subset("fundus.patch"), **self.subset("fundus.pos"),
-                **self.subset("fundus.block")}
-
-    @property
-    def carotid_encoder(self) -> dict[str, np.ndarray]:
-        return {**self.subset("carotid.patch"), **self.subset("carotid.pos"),
-                **self.subset("carotid.block")}
-
-    @property
-    def fundus_proj(self) -> dict[str, np.ndarray]:
-        return self.subset("fundus.proj")
-
-    @property
-    def carotid_proj(self) -> dict[str, np.ndarray]:
-        return self.subset("carotid.proj")
-
-    @property
-    def fundus_pred(self) -> dict[str, np.ndarray]:
-        return self.subset("fundus.pred")
-
-    @property
-    def carotid_pred(self) -> dict[str, np.ndarray]:
-        return self.subset("carotid.pred")
-
-    @property
-    def fundus_dec(self) -> dict[str, np.ndarray]:
-        return self.subset("fundus.dec")
-
-    @property
-    def carotid_dec(self) -> dict[str, np.ndarray]:
-        return self.subset("carotid.dec")
 
     @property
     def log_tau(self) -> np.ndarray | None:
@@ -225,14 +191,13 @@ def init_params(
             zeros(f"{p}.mlp.b2", (d,))
         w(f"{m}.proj.w", (d, config.proj_dim))
         zeros(f"{m}.proj.b", (config.proj_dim,))
-        head_in = config.head_input_dim
-        w(f"{m}.pred.w1", (head_in, config.pred_hidden))
+        w(f"{m}.pred.w1", (d, config.pred_hidden))
         zeros(f"{m}.pred.b1", (config.pred_hidden,))
         w(f"{m}.pred.w2", (config.pred_hidden, config.n_measures))
         zeros(f"{m}.pred.b2", (config.n_measures,))
         c0 = config.decoder_channels[0]
         hw = config.decoder_seed_hw
-        w(f"{m}.dec.seed.w", (head_in, c0 * hw * hw))
+        w(f"{m}.dec.seed.w", (d, c0 * hw * hw))
         zeros(f"{m}.dec.seed.b", (c0 * hw * hw,))
         chain = config.decoder_chain
         for i in range(len(chain) - 1):
@@ -240,27 +205,6 @@ def init_params(
     if learnable_tau_init is not None:
         arrays["log_tau"] = np.asarray(math.log(learnable_tau_init), dtype=np.float64)
     return ModelParams(arrays)
-
-
-def expected_param_count(config: EncoderConfig, learnable_tau: bool = False) -> int:
-    """Closed-form parameter count for a config (both modalities)."""
-    d = config.embed_dim
-    per_block = 2 * d + 4 * (d * d + d) + 2 * d + (
-        d * MLP_RATIO * d + MLP_RATIO * d + MLP_RATIO * d * d + d
-    )
-    enc = config.patch_dim * d + d + config.n_tokens * d + config.depth * per_block
-    proj = d * config.proj_dim + config.proj_dim
-    head_in = config.head_input_dim
-    pred = head_in * config.pred_hidden + config.pred_hidden + (
-        config.pred_hidden * config.n_measures + config.n_measures
-    )
-    hw = config.decoder_seed_hw
-    c0 = config.decoder_channels[0]
-    dec = head_in * c0 * hw * hw + c0 * hw * hw
-    chain = config.decoder_chain
-    for i in range(len(chain) - 1):
-        dec += chain[i] * chain[i + 1] * 4
-    return 2 * (enc + proj + pred + dec) + (1 if learnable_tau else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +307,9 @@ def predict_measures(
     view: ParamView, config: EncoderConfig, emb: Tensor, modality: str
 ) -> Tensor:
     """linear -> GELU -> linear measure predictions, (N, n_measures)."""
-    if emb.shape[-1] != config.head_input_dim:
+    if emb.shape[-1] != config.embed_dim:
         raise DimensionError(
-            f"prediction head expects width {config.head_input_dim}, "
-            f"got {emb.shape}"
+            f"prediction head expects width {config.embed_dim}, got {emb.shape}"
         )
     hdn = ad.gelu(
         ad.add_bias(ad.matmul(emb, view[f"{modality}.pred.w1"]),
@@ -380,9 +323,9 @@ def decode(
     view: ParamView, config: EncoderConfig, emb: Tensor, modality: str
 ) -> Tensor:
     """Embedding -> seed feature map -> stride-2 deconv stack -> image."""
-    if emb.shape[-1] != config.head_input_dim:
+    if emb.shape[-1] != config.embed_dim:
         raise DimensionError(
-            f"decoder expects width {config.head_input_dim}, got {emb.shape}"
+            f"decoder expects width {config.embed_dim}, got {emb.shape}"
         )
     n = emb.shape[0]
     hw = config.decoder_seed_hw
@@ -430,7 +373,7 @@ def save_checkpoint(
         arrays[_PARAM_PREFIX + name] = arr
     for name, arr in (aux_arrays or {}).items():
         arrays[_AUX_PREFIX + name] = arr
-    arrayio.write_bundle(path, manifest, arrays, dtype="f64")
+    arrayio.write_bundle(path, manifest, arrays)
 
 
 def load_checkpoint(path: str | Path):
@@ -445,11 +388,15 @@ def load_checkpoint(path: str | Path):
             params[name[len(_PARAM_PREFIX):]] = arr
         elif name.startswith(_AUX_PREFIX):
             aux[name[len(_AUX_PREFIX):]] = arr
-    config = EncoderConfig.from_dict(manifest["encoder_config"])
+    config, step = manifest.get("encoder_config"), manifest.get("step")
+    if not isinstance(config, dict):
+        raise FormatError(f"{path}: 'encoder_config' must be an object, got {config!r}")
+    if type(step) is not int:
+        raise FormatError(f"{path}: 'step' must be an integer, got {step!r}")
     return (
         ModelParams(params),
-        config,
-        int(manifest["step"]),
+        EncoderConfig.from_dict(config),
+        step,
         manifest.get("extra", {}),
         aux,
     )

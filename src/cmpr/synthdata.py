@@ -408,18 +408,6 @@ class StreamScheduler:
         return {s: self.batch_at(s, step) for s in STREAMS}
 
 
-def make_stream_batches(samples, batch_size: int, seed: int):
-    """One epoch of batches across the four streams, fc/fv/cv/eyes order.
-
-    Streams with fewer than two qualifying members yield nothing; if every
-    stream is empty that is a contract error (raised by the scheduler).
-    """
-    sched = StreamScheduler(samples, batch_size, seed)
-    for stream in STREAMS:
-        for i in range(sched.n_batches(stream)):
-            yield sched.batch_at(stream, i)
-
-
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------

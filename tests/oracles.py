@@ -136,3 +136,44 @@ def assert_grads_close(
         assert np.all(diff <= bound), (
             f"gradient mismatch for {name}: worst excess {worst:.3e}"
         )
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers on the package's own types
+# ---------------------------------------------------------------------------
+
+
+def sum_all(x):
+    """Sum of every element of tape tensor ``x`` as a scalar tape node; a
+    plain reduction for building test losses."""
+    out = np.asarray(x.value.sum(), dtype=np.float64)
+    shape = x.value.shape
+
+    def bwd(g):
+        return (np.broadcast_to(g, shape).copy(),)
+
+    return x.tape.record("sum_all", out, (x.index,), bwd)
+
+
+def expected_param_count(config, learnable_tau: bool = False) -> int:
+    """Closed-form parameter count of an ``EncoderConfig`` (both
+    modalities), written from the architecture rather than the init code."""
+    d = config.embed_dim
+    hidden = 2 * d  # encoder MLP width
+    per_block = 2 * d + 4 * (d * d + d) + 2 * d + (
+        d * hidden + hidden + hidden * d + d
+    )
+    patch_dim = 3 * config.patch_size**2
+    n_tokens = (config.image_size // config.patch_size) ** 2
+    enc = patch_dim * d + d + n_tokens * d + config.depth * per_block
+    proj = d * config.proj_dim + config.proj_dim
+    pred = d * config.pred_hidden + config.pred_hidden + (
+        config.pred_hidden * config.n_measures + config.n_measures
+    )
+    hw = config.image_size // 2 ** len(config.decoder_channels)
+    c0 = config.decoder_channels[0]
+    dec = d * c0 * hw * hw + c0 * hw * hw
+    chain = [*config.decoder_channels, 3]
+    for i in range(len(chain) - 1):
+        dec += chain[i] * chain[i + 1] * 4
+    return 2 * (enc + proj + pred + dec) + (1 if learnable_tau else 0)

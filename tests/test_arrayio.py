@@ -1,5 +1,6 @@
 """CMPR container round trips and format details."""
 
+import io
 import struct
 from collections import OrderedDict
 
@@ -13,17 +14,21 @@ from cmpr.errors import CmprError, ContractError, FormatError
 def test_array_round_trip_f64(tmp_path):
     arr = np.random.default_rng(0).standard_normal((3, 4, 2))
     path = tmp_path / "a.cmpr"
-    arrayio.write_array(path, arr, dtype="f64")
+    arrayio.write_array(path, arr)
     back = arrayio.read_array(path)
     np.testing.assert_array_equal(back, arr)
 
 
 def test_array_round_trip_f32(tmp_path):
-    arr = np.random.default_rng(1).standard_normal((5, 5))
+    # f32 no longer round-trips: files are float64 only, and an f32 entry
+    # is a malformed entry
     path = tmp_path / "a.cmpr"
-    arrayio.write_array(path, arr, dtype="f32")
-    back = arrayio.read_array(path)
-    np.testing.assert_array_equal(back, arr.astype(np.float32).astype(np.float64))
+    header = b'{"dtype":"f32","shape":[2]}'
+    path.write_bytes(
+        b"CMPR" + struct.pack("<II", 1, len(header)) + header + bytes(8)
+    )
+    with pytest.raises(FormatError, match="malformed array entry"):
+        arrayio.read_array(path)
 
 
 def test_zero_d_array_round_trip(tmp_path):
@@ -45,7 +50,7 @@ def test_zero_d_array_round_trip(tmp_path):
 
 def test_envelope_layout(tmp_path):
     path = tmp_path / "a.cmpr"
-    arrayio.write_array(path, np.zeros((2, 2)), dtype="f64")
+    arrayio.write_array(path, np.zeros((2, 2)))
     blob = path.read_bytes()
     assert blob[:4] == b"CMPR"
     version, hlen = struct.unpack("<II", blob[4:12])
@@ -95,6 +100,58 @@ def test_bundle_vs_array_headers_are_distinguished(tmp_path):
     arrayio.write_bundle(path2, {}, OrderedDict([("x", np.zeros(3))]))
     with pytest.raises(ContractError):
         arrayio.read_array(path2)
+
+
+class _TornFile:
+    """A binary file that fails with ``OSError`` once ``limit`` bytes have
+    been written, after writing the bytes up to the limit."""
+
+    def __init__(self, fh, limit):
+        self._fh = fh
+        self._left = limit
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        if len(data) >= self._left:
+            self._fh.write(data[: self._left])
+            self._left = 0
+            raise OSError("disk full")
+        self._left -= len(data)
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.mark.parametrize("kind", ["array", "bundle"])
+def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, kind):
+    def write(path, arr):
+        if kind == "array":
+            arrayio.write_array(path, arr)
+        else:
+            arrayio.write_bundle(path, {"step": 1}, OrderedDict([("w", arr)]))
+
+    rng = np.random.default_rng(5)
+    path = tmp_path / "x.cmpr"
+    write(path, rng.standard_normal(1000))
+    before = path.read_bytes()
+    # cut the new file halfway, well inside its 8000-byte payload
+    limit = len(before) // 2
+    real_open = io.open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _TornFile(fh, limit) if "w" in mode or "x" in mode else fh
+
+    monkeypatch.setattr(io, "open", torn_open)
+    with pytest.raises(OSError, match="disk full"):
+        write(path, rng.standard_normal(1000))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x.cmpr"]
 
 
 # ---------------------------------------------------------------------------

@@ -78,15 +78,6 @@ def test_top_k_out_of_range_rejected():
         metrics.top_k_accuracy(np.ones((3, 4)), 1)
 
 
-def test_symmetric_mode_averages_directions():
-    rng = np.random.default_rng(5)
-    sim = rng.standard_normal((8, 8))
-    want = 0.5 * (
-        top_k_full_sort(sim, 2) + top_k_full_sort(np.ascontiguousarray(sim.T), 2)
-    )
-    assert metrics.top_k_accuracy(sim, 2, symmetric=True) == want
-
-
 # ---------------------------------------------------------------------------
 # multiplicative top-k
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ import pytest
 
 from cmpr import autodiff as ad
 from cmpr import losses, model
-from cmpr.errors import ConfigError, ContractError, DimensionError
+from cmpr.errors import ConfigError, ContractError, DimensionError, FormatError
 from cmpr.model import EncoderConfig, ParamView
 
-from oracles import assert_grads_close
+from oracles import assert_grads_close, expected_param_count
 
 
 TINY = EncoderConfig(
@@ -96,9 +96,9 @@ def test_init_different_seeds_differ():
 def test_init_param_count_matches_closed_form():
     for cfg in (TINY, EncoderConfig()):
         params = model.init_params(cfg, seed=0)
-        assert params.n_params() == model.expected_param_count(cfg)
+        assert params.n_params() == expected_param_count(cfg)
     with_tau = model.init_params(TINY, seed=0, learnable_tau_init=0.07)
-    assert with_tau.n_params() == model.expected_param_count(TINY, learnable_tau=True)
+    assert with_tau.n_params() == expected_param_count(TINY, learnable_tau=True)
     assert with_tau.log_tau is not None
 
 
@@ -111,8 +111,8 @@ def test_init_truncation_and_zero_biases():
 
 def test_param_group_properties():
     params = model.init_params(TINY, seed=2)
-    assert set(params.fundus_proj) == {"fundus.proj.w", "fundus.proj.b"}
-    assert all(k.startswith("carotid.dec") for k in params.carotid_dec)
+    assert set(params.subset("fundus.proj")) == {"fundus.proj.w", "fundus.proj.b"}
+    assert all(k.startswith("carotid.dec") for k in params.subset("carotid.dec"))
     assert params.log_tau is None
 
 
@@ -236,7 +236,7 @@ def test_decode_output_shape_matches_input_images():
         params = model.init_params(cfg, seed=8)
         view = make_view(params)
         emb = view.tape.leaf(
-            np.random.default_rng(3).standard_normal((2, cfg.head_input_dim))
+            np.random.default_rng(3).standard_normal((2, cfg.embed_dim))
         )
         out = model.decode(view, cfg, emb, "fundus")
         assert out.shape == (2, 3, cfg.image_size, cfg.image_size)
@@ -374,6 +374,30 @@ def test_checkpoint_rejects_non_checkpoint_bundle(tmp_path):
     path = tmp_path / "other.cmpr"
     arrayio.write_bundle(path, {"kind": "cohort"}, OrderedDict([("x", np.ones(2))]))
     with pytest.raises(ContractError):
+        model.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"encoder_config": None}, "encoder_config"),
+        ({"step": None}, "step"),
+        ({"step": "x"}, "step"),
+        ({"encoder_config": 5}, "encoder_config"),
+    ],
+    ids=["no_encoder_config", "no_step", "step_not_int", "encoder_config_not_object"],
+)
+def test_checkpoint_malformed_manifest_raises_format_error(tmp_path, change, key):
+    from collections import OrderedDict
+
+    from cmpr import arrayio
+
+    manifest = {"kind": "checkpoint", "step": 3, "encoder_config": TINY.to_dict()}
+    manifest.update(change)
+    manifest = {k: v for k, v in manifest.items() if v is not None}
+    path = tmp_path / "bad.cmpr"
+    arrayio.write_bundle(path, manifest, OrderedDict([("param/x", np.ones(2))]))
+    with pytest.raises(FormatError, match=f"bad.cmpr.*'{key}'"):
         model.load_checkpoint(path)
 
 
