@@ -1,15 +1,14 @@
-"""The shared "CMPR" binary container.
+"""The "CMPR" binary container, used for checkpoints and cohorts alike.
 
-Two layouts share one envelope (magic, version, header length, JSON header):
-
-* array file    -- header ``{"shape": [...], "dtype": "f64"}``,
-                   payload is the raw little-endian values, row-major.
-* bundle file   -- header ``{"manifest": {...}, "arrays": [{name, shape,
-                   dtype}, ...]}``, payload is the arrays' raw buffers
-                   concatenated in listed order.  Used for checkpoints.
+One layout: magic ``CMPR``, little-endian uint32 version and header
+length, a UTF-8 JSON header ``{"manifest": {...}, "arrays": [{name, shape,
+dtype}, ...]}``, then each array's raw little-endian float64 values,
+row-major, concatenated in listed order.
 
 Writers replace the target in one step (temp file, then ``os.replace``),
 so a crash mid-write leaves the previous file intact.  They do not fsync.
+Readers validate the envelope and the header against the file size before
+allocating, then read each array straight into its own fresh buffer.
 """
 
 from __future__ import annotations
@@ -23,128 +22,86 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import FormatError
 
 MAGIC = b"CMPR"
 FORMAT_VERSION = 1
 
-_DTYPES = {"f64": "<f8"}
+_DTYPE = "f64"  # the only element type a header names
+_F64 = np.dtype("<f8")
 _ENVELOPE = 12  # magic, then little-endian uint32 version and header length
-
-
-def _encode_header(header: dict) -> bytes:
-    payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return MAGIC + struct.pack("<II", FORMAT_VERSION, len(payload)) + payload
-
-
-def _decode(path: str | Path) -> tuple[dict, bytes, int]:
-    """Read ``path`` and parse its envelope: (header, whole file, payload offset).
-
-    Every malformed envelope raises ``FormatError`` naming the file.
-    """
-    blob = Path(path).read_bytes()
-    if len(blob) < _ENVELOPE:
-        raise FormatError(
-            f"{path}: {len(blob)} bytes is shorter than the CMPR envelope"
-        )
-    if blob[:4] != MAGIC:
-        raise FormatError(f"{path}: not a CMPR container (bad magic)")
-    version, hlen = struct.unpack("<II", blob[4:_ENVELOPE])
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported CMPR format version {version}")
-    offset = _ENVELOPE + hlen
-    if offset > len(blob):
-        raise FormatError(
-            f"{path}: header length {hlen} runs past the end of the file"
-        )
-    try:
-        header = json.loads(blob[_ENVELOPE:offset].decode("utf-8"))
-    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
-        raise FormatError(f"{path}: header is not UTF-8 JSON ({e})") from e
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header is not a JSON object")
-    return header, blob, offset
-
-
-def _payload(
-    path: str | Path, blob: bytes, offset: int, entries: list
-) -> list[np.ndarray]:
-    """The float64 arrays that ``entries`` (header ``{shape, dtype}`` dicts)
-    lay out back to back from ``offset`` to the end of ``blob``."""
-    arrays = []
-    for entry in entries:
-        shape = entry.get("shape") if isinstance(entry, dict) else None
-        dtype = entry.get("dtype") if isinstance(entry, dict) else None
-        if (
-            not isinstance(shape, list)
-            or not all(type(s) is int and s >= 0 for s in shape)
-            or dtype not in _DTYPES
-        ):
-            raise FormatError(f"{path}: malformed array entry {entry!r}")
-        np_dtype = np.dtype(_DTYPES[dtype])
-        count = math.prod(shape)
-        end = offset + count * np_dtype.itemsize
-        if end > len(blob):
-            raise FormatError(
-                f"{path}: payload is truncated ({len(blob) - offset} bytes "
-                f"left, shape {shape} needs {end - offset})"
-            )
-        arr = np.frombuffer(blob, dtype=np_dtype, count=count, offset=offset)
-        arrays.append(arr.reshape(shape).astype(np.float64))
-        offset = end
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} bytes follow the last array")
-    return arrays
-
-
-def _write_atomic(path: str | Path, header: dict, arrays: list[np.ndarray]) -> None:
-    """Write the envelope and the arrays' row-major bytes to a temp file
-    beside ``path``, then move it over ``path``."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    try:
-        with tmp.open("xb") as fh:
-            fh.write(_encode_header(header))
-            for arr in arrays:
-                fh.write(arr.tobytes())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def write_array(path: str | Path, arr: np.ndarray) -> None:
-    # not ascontiguousarray, which gives a 0-d array shape (1,); tobytes()
-    # writes row-major whatever the layout
-    arr = np.asarray(arr, dtype=_DTYPES["f64"])
-    _write_atomic(path, {"shape": list(arr.shape), "dtype": "f64"}, [arr])
-
-
-def read_array(path: str | Path) -> np.ndarray:
-    header, blob, offset = _decode(path)
-    if "shape" not in header or "dtype" not in header:
-        raise ContractError(f"{path}: CMPR header is not an array header")
-    return _payload(path, blob, offset, [header])[0]
 
 
 def write_bundle(
     path: str | Path, manifest: dict, arrays: "OrderedDict[str, np.ndarray]"
 ) -> None:
-    values = [np.asarray(arr, dtype=_DTYPES["f64"]) for arr in arrays.values()]
+    """Write ``manifest`` and the named ``arrays`` (stored float64) to a temp
+    file beside ``path``, then move it over ``path``."""
+    # not ascontiguousarray, which gives a 0-d array shape (1,)
+    values = [np.asarray(arr, dtype=_F64, order="C") for arr in arrays.values()]
     entries = [
-        {"name": name, "shape": list(arr.shape), "dtype": "f64"}
+        {"name": name, "shape": list(arr.shape), "dtype": _DTYPE}
         for name, arr in zip(arrays, values)
     ]
-    _write_atomic(path, {"manifest": manifest, "arrays": entries}, values)
+    header = json.dumps(
+        {"manifest": manifest, "arrays": entries}, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with tmp.open("xb") as fh:
+            fh.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header)
+            for arr in values:
+                fh.write(memoryview(arr.reshape(-1)))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_bundle(path: str | Path) -> tuple[dict, "OrderedDict[str, np.ndarray]"]:
-    header, blob, offset = _decode(path)
-    if "manifest" not in header or "arrays" not in header:
-        raise ContractError(f"{path}: CMPR header is not a bundle header")
-    if not isinstance(header["manifest"], dict) or not isinstance(header["arrays"], list):
-        raise FormatError(f"{path}: bundle manifest or array list is malformed")
-    names = [e.get("name") if isinstance(e, dict) else None for e in header["arrays"]]
-    if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
-        raise FormatError(f"{path}: bundle array names are missing or repeated")
-    arrays = _payload(path, blob, offset, header["arrays"])
-    return header["manifest"], OrderedDict(zip(names, arrays))
+    """Read back (manifest, arrays).  Each array is its own aligned,
+    writable float64 buffer; every malformed envelope, header or payload
+    raises ``FormatError`` naming the file."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_ENVELOPE)
+        if len(head) < _ENVELOPE:
+            raise FormatError(f"{path}: {size} bytes is shorter than the CMPR envelope")
+        if head[:4] != MAGIC:
+            raise FormatError(f"{path}: not a CMPR container (bad magic)")
+        version, hlen = struct.unpack("<II", head[4:])
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported CMPR format version {version}")
+        if _ENVELOPE + hlen > size:
+            raise FormatError(f"{path}: header length {hlen} runs past the end of the file")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+            raise FormatError(f"{path}: header is not UTF-8 JSON ({e})") from e
+        if not isinstance(header, dict) or not isinstance(header.get("manifest"), dict) \
+                or not isinstance(header.get("arrays"), list):
+            raise FormatError(f"{path}: header has no manifest object and array list")
+        entries = header["arrays"]
+        for entry in entries:
+            shape = entry.get("shape") if isinstance(entry, dict) else None
+            if (
+                not isinstance(shape, list)
+                or not all(type(s) is int and s >= 0 for s in shape)
+                or not isinstance(entry.get("name"), str)
+                or entry.get("dtype") != _DTYPE
+            ):
+                raise FormatError(f"{path}: malformed array entry {entry!r}")
+        names = [entry["name"] for entry in entries]
+        if len(set(names)) != len(names):
+            raise FormatError(f"{path}: bundle array names are repeated")
+        need = sum(math.prod(entry["shape"]) for entry in entries) * _F64.itemsize
+        left = size - fh.tell()
+        if need != left:
+            raise FormatError(f"{path}: payload is {left} bytes, the arrays need {need}")
+        arrays: OrderedDict[str, np.ndarray] = OrderedDict()
+        for name, entry in zip(names, entries):
+            arr = np.empty(entry["shape"], dtype=_F64)
+            if fh.readinto(memoryview(arr.reshape(-1)).cast("B")) != arr.nbytes:
+                raise FormatError(f"{path}: file shrank while array {name!r} was read")
+            arrays[name] = arr
+    return header["manifest"], arrays

@@ -1,6 +1,8 @@
-"""Exception taxonomy shared by every cmpr module."""
+"""Exception taxonomy shared by every cmpr module, and the checks that
+turn a malformed config or manifest into one of its errors."""
 
 from dataclasses import fields
+from numbers import Integral, Real
 
 
 class CmprError(Exception):
@@ -58,3 +60,35 @@ def check_config_keys(cls: type, d: dict) -> None:
             f"{cls.__name__} dict has unknown keys {unknown} "
             f"and missing keys {missing}"
         )
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+_FIELD_TYPES = {
+    "int": _is_int,
+    "float": lambda v: isinstance(v, Real) and not isinstance(v, bool),
+    "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+}
+
+
+def check_field_types(obj) -> None:
+    """Raise ``ConfigError`` naming the first field of the dataclass ``obj``
+    whose value does not match its annotation (``int``, ``float`` or
+    ``list[int]``; a bool is neither)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not _FIELD_TYPES[f.type](value):
+            raise ConfigError(
+                f"{type(obj).__name__}.{f.name} must be {f.type}, got {value!r}"
+            )
+
+
+def manifest_field(path, manifest: dict, key: str, kind: type):
+    """``manifest[key]``; raise ``FormatError`` naming ``path`` and ``key``
+    unless it is present and exactly of JSON type ``kind``."""
+    value = manifest.get(key)
+    if type(value) is not kind:
+        raise FormatError(f"{path}: {key!r} must be of type {kind.__name__}, got {value!r}")
+    return value

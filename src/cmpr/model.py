@@ -25,8 +25,9 @@ from .errors import (
     ConfigError,
     ContractError,
     DimensionError,
-    FormatError,
     check_config_keys,
+    check_field_types,
+    manifest_field,
 )
 
 MODALITIES = ("fundus", "carotid")
@@ -47,6 +48,7 @@ class EncoderConfig:
     decoder_channels: list[int] = field(default_factory=lambda: [32, 16])
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("image_size", "patch_size", "embed_dim", "proj_dim",
                      "pred_hidden"):
             if getattr(self, name) < 2:
@@ -62,8 +64,8 @@ class EncoderConfig:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
             )
-        if not self.decoder_channels:
-            raise ConfigError("decoder_channels must not be empty")
+        if not self.decoder_channels or min(self.decoder_channels) < 1:
+            raise ConfigError("decoder_channels must be a non-empty list of counts >= 1")
         # each deconv layer (kernel 2, stride 2) exactly doubles spatial size
         factor = 2 ** len(self.decoder_channels)
         if self.image_size % factor != 0 or self.image_size // factor < 1:
@@ -388,11 +390,8 @@ def load_checkpoint(path: str | Path):
             params[name[len(_PARAM_PREFIX):]] = arr
         elif name.startswith(_AUX_PREFIX):
             aux[name[len(_AUX_PREFIX):]] = arr
-    config, step = manifest.get("encoder_config"), manifest.get("step")
-    if not isinstance(config, dict):
-        raise FormatError(f"{path}: 'encoder_config' must be an object, got {config!r}")
-    if type(step) is not int:
-        raise FormatError(f"{path}: 'step' must be an integer, got {step!r}")
+    config = manifest_field(path, manifest, "encoder_config", dict)
+    step = manifest_field(path, manifest, "step", int)
     return (
         ModelParams(params),
         EncoderConfig.from_dict(config),

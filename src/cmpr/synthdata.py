@@ -15,21 +15,27 @@ with missing modalities handled by qualification rather than imputation.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import asdict, dataclass, field
+from collections import OrderedDict
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import arrayio
-from .errors import ConfigError, ContractError, check_config_keys
+from .errors import (
+    ConfigError,
+    ContractError,
+    FormatError,
+    check_config_keys,
+    check_field_types,
+    manifest_field,
+)
 
 STREAMS = ("fc", "fv", "cv", "eyes")
 _EYE_PHASE_STD = 0.8
 
-DEFAULT_MEASURE_NAMES = ("age", "fractal_dimension", "vessel_density", "artery_width")
-# plausible clinical magnitudes so the measures have wildly different units
+# age, fractal dimension, vessel density and artery width: plausible
+# clinical magnitudes so the measures have wildly different units
 DEFAULT_MEASURE_SCALES = (12.0, 0.08, 0.05, 1.5)
 DEFAULT_MEASURE_OFFSETS = (55.0, 1.45, 0.12, 6.0)
 
@@ -49,6 +55,7 @@ class CohortConfig:
     label_scale: float = 4.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.latent_dim < 1 or self.n_measures < 1 or self.image_size < 2:
             raise ConfigError("latent_dim, n_measures and image_size must be >= 1/2")
         for name in ("missing_prob", "second_visit_fraction"):
@@ -58,14 +65,8 @@ class CohortConfig:
         if self.drift < 0.0 or self.pixel_noise < 0.0 or self.measure_noise < 0.0:
             raise ConfigError("noise and drift levels must be non-negative")
 
-    @property
-    def measure_names(self) -> tuple[str, ...]:
-        if self.n_measures == len(DEFAULT_MEASURE_NAMES):
-            return DEFAULT_MEASURE_NAMES
-        return tuple(f"measure_{i}" for i in range(self.n_measures))
-
     def measure_affine(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.n_measures == len(DEFAULT_MEASURE_NAMES):
+        if self.n_measures == len(DEFAULT_MEASURE_SCALES):
             return (
                 np.asarray(DEFAULT_MEASURE_SCALES, dtype=np.float64),
                 np.asarray(DEFAULT_MEASURE_OFFSETS, dtype=np.float64),
@@ -412,152 +413,98 @@ class StreamScheduler:
 # persistence
 # ---------------------------------------------------------------------------
 
-_VISIT_INDEX = {"t": 0, "t_prime": 1}
-_VISIT_NAME = {v: k for k, v in _VISIT_INDEX.items()}
+_VISITS = ("t", "t_prime")  # saved as their index
 _PROGNOSIS_UNDEFINED = -1.0
+_SPLITS = ("train", "validation", "test")
 
 
-def save_cohort(out_dir: str | Path, cohort: Cohort) -> None:
-    """Directory layout: manifest.json + per-split CMPR arrays + one CSV.
+def _columns(config: CohortConfig) -> dict:
+    """The arrays of a saved cohort, in file order: name -> (per-sample
+    shape, the sample's row or None for a missing image)."""
+    image = (3, config.image_size, config.image_size)
+    return {
+        "fundus_right": (image, lambda s: s.fundus_right),
+        "fundus_left": (image, lambda s: s.fundus_left),
+        "carotid": (image, lambda s: s.carotid),
+        "measures": ((config.n_measures,), lambda s: s.measures),
+        "diagnosis": ((), lambda s: s.diagnosis_label),
+        "prognosis": ((), lambda s: _PROGNOSIS_UNDEFINED
+                      if s.prognosis_label is None else s.prognosis_label),
+        "presence": ((3,), lambda s: astuple(s.presence_mask)),
+        "participant_id": ((), lambda s: s.participant_id),
+        "visit": ((), lambda s: _VISITS.index(s.visit)),
+    }
 
-    Missing images are stored as zeros with presence flags; byte output is
-    deterministic for a given (config, seed).
+
+def save_cohort(path: str | Path, cohort: Cohort) -> None:
+    """Write ``cohort`` as one CMPR bundle (crash-safe, see ``arrayio``).
+
+    The manifest holds kind, seed, n_participants, config and splits.  Each
+    array has one row per sample, in cohort order: the three image stacks
+    (zeros where an image is missing), measures, diagnosis, prognosis (-1
+    where undefined), presence flags, participant id and visit (0 for t,
+    1 for t').  Byte output is deterministic for a given cohort.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "kind": "cohort",
         "seed": cohort.seed,
         "n_participants": cohort.n_participants,
         "config": cohort.config.to_dict(),
-        "measure_names": list(cohort.config.measure_names),
-        "splits": {
-            "train": cohort.split.train,
-            "validation": cohort.split.validation,
-            "test": cohort.split.test,
-        },
-        "counts": {
-            "samples": len(cohort.samples),
-            **{
-                name: len(cohort.samples_for(name))
-                for name in ("train", "validation", "test")
-            },
-        },
+        "splits": {name: cohort.split.of(name) for name in _SPLITS},
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
-
-    size = cohort.config.image_size
-    zeros = np.zeros((3, size, size))
-    for split_name in ("train", "validation", "test"):
-        rows = cohort.samples_for(split_name)
-        sdir = out / split_name
-        sdir.mkdir(exist_ok=True)
-        n = len(rows)
-
-        def img_stack(getter):
-            return np.stack([getter(s) if getter(s) is not None else zeros
-                             for s in rows]) if n else np.zeros((0, 3, size, size))
-
-        arrayio.write_array(sdir / "images_fundus_right.cmpr",
-                            img_stack(lambda s: s.fundus_right))
-        arrayio.write_array(sdir / "images_fundus_left.cmpr",
-                            img_stack(lambda s: s.fundus_left))
-        arrayio.write_array(sdir / "images_carotid.cmpr",
-                            img_stack(lambda s: s.carotid))
-        arrayio.write_array(
-            sdir / "measures.cmpr",
-            np.stack([s.measures for s in rows])
-            if n else np.zeros((0, cohort.config.n_measures)),
-        )
-        labels = np.zeros((n, 2))
-        presence = np.zeros((n, 3))
-        meta = np.zeros((n, 2))
-        for i, s in enumerate(rows):
-            labels[i, 0] = s.diagnosis_label
-            labels[i, 1] = (
-                _PROGNOSIS_UNDEFINED if s.prognosis_label is None
-                else s.prognosis_label
-            )
-            presence[i] = [
-                s.presence_mask.fundus_right,
-                s.presence_mask.fundus_left,
-                s.presence_mask.carotid,
-            ]
-            meta[i] = [s.participant_id, _VISIT_INDEX[s.visit]]
-        arrayio.write_array(sdir / "labels.cmpr", labels)
-        arrayio.write_array(sdir / "presence.cmpr", presence)
-        arrayio.write_array(sdir / "meta.cmpr", meta)
-
-    with (out / "measures_labels.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["participant_id", "visit", "split",
-             *cohort.config.measure_names, "diagnosis", "prognosis"]
-        )
-        for split_name in ("train", "validation", "test"):
-            for s in cohort.samples_for(split_name):
-                writer.writerow(
-                    [
-                        s.participant_id,
-                        s.visit,
-                        split_name,
-                        *[repr(float(v)) for v in s.measures],
-                        s.diagnosis_label,
-                        "" if s.prognosis_label is None else s.prognosis_label,
-                    ]
-                )
+    arrays = OrderedDict()
+    for name, (shape, row) in _columns(cohort.config).items():
+        arrays[name] = np.zeros((len(cohort.samples), *shape))
+        for i, s in enumerate(cohort.samples):
+            if (value := row(s)) is not None:
+                arrays[name][i] = value
+    arrayio.write_bundle(path, manifest, arrays)
 
 
-def load_cohort(in_dir: str | Path) -> Cohort:
-    src = Path(in_dir)
-    manifest = json.loads((src / "manifest.json").read_text())
+def load_cohort(path: str | Path) -> Cohort:
+    """Read back a cohort written by ``save_cohort``, samples in saved order.
+
+    A manifest key that is missing or of the wrong type, and an array that
+    is missing or whose shape disagrees with the config and the other
+    arrays' length, raise ``FormatError`` naming the file and the key.
+    """
+    manifest, arrays = arrayio.read_bundle(path)
     if manifest.get("kind") != "cohort":
-        raise ContractError(f"{in_dir} is not a cohort directory")
-    config = CohortConfig.from_dict(manifest["config"])
-    samples: list[CohortSample] = []
-    for split_name in ("train", "validation", "test"):
-        sdir = src / split_name
-        fr = arrayio.read_array(sdir / "images_fundus_right.cmpr")
-        fl = arrayio.read_array(sdir / "images_fundus_left.cmpr")
-        car = arrayio.read_array(sdir / "images_carotid.cmpr")
-        measures = arrayio.read_array(sdir / "measures.cmpr")
-        labels = arrayio.read_array(sdir / "labels.cmpr")
-        presence = arrayio.read_array(sdir / "presence.cmpr")
-        meta = arrayio.read_array(sdir / "meta.cmpr")
-        for i in range(meta.shape[0]):
-            mask = PresenceMask(
-                fundus_right=bool(presence[i, 0]),
-                fundus_left=bool(presence[i, 1]),
-                carotid=bool(presence[i, 2]),
-            )
-            prognosis = labels[i, 1]
-            samples.append(
-                CohortSample(
-                    participant_id=int(meta[i, 0]),
-                    visit=_VISIT_NAME[int(meta[i, 1])],
-                    fundus_right=fr[i] if mask.fundus_right else None,
-                    fundus_left=fl[i] if mask.fundus_left else None,
-                    carotid=car[i] if mask.carotid else None,
-                    measures=measures[i],
-                    diagnosis_label=int(labels[i, 0]),
-                    prognosis_label=(
-                        None if prognosis == _PROGNOSIS_UNDEFINED else int(prognosis)
-                    ),
-                    presence_mask=mask,
-                )
-            )
-    samples.sort(key=lambda s: (s.participant_id, _VISIT_INDEX[s.visit]))
-    split = CohortSplit(
-        train=list(manifest["splits"]["train"]),
-        validation=list(manifest["splits"]["validation"]),
-        test=list(manifest["splits"]["test"]),
+        raise ContractError(f"{path} is not a cohort bundle")
+    config = CohortConfig.from_dict(manifest_field(path, manifest, "config", dict))
+    splits = manifest_field(path, manifest, "splits", dict)
+    split = CohortSplit(*(manifest_field(path, splits, name, list) for name in _SPLITS))
+    shapes = {name: shape for name, (shape, _) in _columns(config).items()}
+    for name in shapes:
+        if name not in arrays:
+            raise FormatError(f"{path}: cohort array {name!r} is missing")
+    lengths = [len(arrays[name]) if arrays[name].ndim else None for name in shapes]
+    n = max(lengths, key=lengths.count)  # the length most arrays agree on
+    for name, shape in shapes.items():
+        if arrays[name].shape != (n, *shape):
+            raise FormatError(f"{path}: cohort array {name!r} has shape "
+                              f"{arrays[name].shape}, expected {(n, *shape)}")
+
+    fr, fl, car, measures, diagnosis, prognosis, presence, pid, visit = (
+        arrays[name] for name in shapes
     )
-    return Cohort(
-        samples=samples,
-        split=split,
-        config=config,
-        seed=int(manifest["seed"]),
-        n_participants=int(manifest["n_participants"]),
-    )
+    samples = []
+    for i in range(n):
+        mask = PresenceMask(*map(bool, presence[i]))
+        samples.append(
+            CohortSample(
+                participant_id=int(pid[i]),
+                visit=_VISITS[int(visit[i])],
+                fundus_right=fr[i] if mask.fundus_right else None,
+                fundus_left=fl[i] if mask.fundus_left else None,
+                carotid=car[i] if mask.carotid else None,
+                measures=measures[i],
+                diagnosis_label=int(diagnosis[i]),
+                prognosis_label=(None if prognosis[i] == _PROGNOSIS_UNDEFINED
+                                 else int(prognosis[i])),
+                presence_mask=mask,
+            )
+        )
+    seed = manifest_field(path, manifest, "seed", int)
+    n_participants = manifest_field(path, manifest, "n_participants", int)
+    return Cohort(samples, split, config, seed, n_participants)

@@ -52,6 +52,12 @@ def test_config_rejects_unreachable_decoder_target():
         EncoderConfig(image_size=16, decoder_channels=[8, 8, 8, 8, 8])
 
 
+def test_config_rejects_non_positive_decoder_channels():
+    for channels in ([], [-1, 16], [32, 0]):
+        with pytest.raises(ConfigError, match="decoder_channels"):
+            EncoderConfig(decoder_channels=channels)
+
+
 def test_config_round_trip():
     cfg = EncoderConfig()
     assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
@@ -68,6 +74,27 @@ def test_config_from_dict_names_missing_key():
     del d["depth"]
     with pytest.raises(ConfigError, match="depth"):
         EncoderConfig.from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("embed_dim", "x"), ("decoder_channels", 5), ("depth", 1.5)],
+    ids=["embed_dim_str", "decoder_channels_int", "depth_float"],
+)
+def test_config_wrong_field_type_raises_config_error(tmp_path, key, value):
+    from collections import OrderedDict
+
+    from cmpr import arrayio
+
+    d = {**EncoderConfig().to_dict(), key: value}
+    with pytest.raises(ConfigError, match=f"EncoderConfig.{key}"):
+        EncoderConfig.from_dict(d)
+    # and through a checkpoint's manifest
+    path = tmp_path / "bad.cmpr"
+    manifest = {"kind": "checkpoint", "step": 0, "encoder_config": d}
+    arrayio.write_bundle(path, manifest, OrderedDict([("param/x", np.ones(2))]))
+    with pytest.raises(ConfigError, match=f"EncoderConfig.{key}"):
+        model.load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Synthetic cohort: configuration, generation, splits, persistence and
 the stream scheduler."""
 
+from collections import OrderedDict
+
+import numpy as np
 import pytest
 
-from cmpr.errors import ConfigError, ContractError
+from cmpr import arrayio
+from cmpr.errors import ConfigError, ContractError, FormatError
 from cmpr.synthdata import (
     STREAMS,
     CohortConfig,
@@ -31,6 +35,25 @@ def test_config_from_dict_names_missing_key():
     del d["drift"]
     with pytest.raises(ConfigError, match="drift"):
         CohortConfig.from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("latent_dim", "x"), ("drift", None)],
+    ids=["latent_dim_str", "drift_none"],
+)
+def test_config_wrong_field_type_raises_config_error(tmp_path, key, value):
+    d = {**CohortConfig().to_dict(), key: value}
+    with pytest.raises(ConfigError, match=f"CohortConfig.{key}"):
+        CohortConfig.from_dict(d)
+    # and through a saved cohort's manifest
+    path = tmp_path / "c.cmpr"
+    save_cohort(path, build_cohort(12, CohortConfig(), seed=1))
+    manifest, arrays = arrayio.read_bundle(path)
+    manifest["config"][key] = value
+    arrayio.write_bundle(path, manifest, arrays)
+    with pytest.raises(ConfigError, match=f"CohortConfig.{key}"):
+        load_cohort(path)
 
 
 def test_batch_at_rejects_negative_index_and_unknown_stream():
@@ -105,6 +128,107 @@ def test_save_load_round_trip_is_bitwise(tmp_path):
     )
     assert len(back.samples) == len(cohort.samples)
     assert all(_same_sample(x, y) for x, y in zip(cohort.samples, back.samples))
+
+
+def test_saved_cohort_is_one_file(tmp_path):
+    save_cohort(tmp_path / "c", build_cohort(12, CohortConfig(), seed=2))
+    assert [p.name for p in tmp_path.iterdir()] == ["c"]
+    manifest, arrays = arrayio.read_bundle(tmp_path / "c")
+    assert sorted(manifest) == ["config", "kind", "n_participants", "seed", "splits"]
+
+
+def test_interrupted_save_keeps_previous_cohort(tmp_path, torn_writes):
+    path = tmp_path / "cohort"
+    old = build_cohort(25, CohortConfig(), seed=8)
+    save_cohort(path, old)
+    # past the manifest, inside the first images
+    with torn_writes(4096), pytest.raises(OSError, match="disk full"):
+        save_cohort(path, build_cohort(25, CohortConfig(), seed=9))
+    assert [p.name for p in tmp_path.iterdir()] == ["cohort"]
+    back = load_cohort(path)
+    assert (back.seed, back.split) == (old.seed, old.split)
+    assert len(back.samples) == len(old.samples)
+    assert all(_same_sample(x, y) for x, y in zip(old.samples, back.samples))
+
+
+@pytest.fixture(scope="module")
+def saved_cohort(tmp_path_factory):
+    """(manifest, arrays) of a small saved cohort."""
+    path = tmp_path_factory.mktemp("cohort") / "c.cmpr"
+    save_cohort(path, build_cohort(12, CohortConfig(), seed=5))
+    return arrayio.read_bundle(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("config", None),
+        ("config", [1]),
+        ("splits", None),
+        ("splits", [[0], [1], [2]]),
+        ("seed", None),
+        ("seed", "5"),
+        ("n_participants", None),
+        ("n_participants", 12.0),
+        ("test", None),
+        ("train", {"0": 1}),
+    ],
+    ids=[
+        "no_config",
+        "config_not_object",
+        "no_splits",
+        "splits_not_object",
+        "no_seed",
+        "seed_not_int",
+        "no_n_participants",
+        "n_participants_not_int",
+        "no_test_split",
+        "train_split_not_list",
+    ],
+)
+def test_load_cohort_malformed_manifest_raises_format_error(
+    tmp_path, saved_cohort, key, value
+):
+    manifest, arrays = saved_cohort
+    manifest = {**manifest, "splits": dict(manifest["splits"])}
+    where = manifest["splits"] if key in manifest["splits"] else manifest
+    if value is None:
+        del where[key]
+    else:
+        where[key] = value
+    path = tmp_path / "bad.cmpr"
+    arrayio.write_bundle(path, manifest, arrays)
+    with pytest.raises(FormatError, match=f"bad.cmpr.*'{key}'"):
+        load_cohort(path)
+
+
+_COHORT_ARRAYS = ["fundus_right", "fundus_left", "carotid", "measures", "diagnosis",
+                  "prognosis", "presence", "participant_id", "visit"]
+
+
+@pytest.mark.parametrize("case", ["missing", "short"])
+@pytest.mark.parametrize("name", _COHORT_ARRAYS)
+def test_load_cohort_malformed_array_raises_format_error(
+    tmp_path, saved_cohort, name, case
+):
+    manifest, arrays = saved_cohort
+    assert list(arrays) == _COHORT_ARRAYS
+    arrays = OrderedDict(arrays)
+    if case == "missing":
+        del arrays[name]
+    else:
+        arrays[name] = arrays[name][:-1]
+    path = tmp_path / "bad.cmpr"
+    arrayio.write_bundle(path, manifest, arrays)
+    with pytest.raises(FormatError, match=f"bad.cmpr.*'{name}'"):
+        load_cohort(path)
+
+
+def test_load_cohort_rejects_a_checkpoint(tmp_path):
+    path = tmp_path / "ckpt.cmpr"
+    arrayio.write_bundle(path, {"kind": "checkpoint"}, OrderedDict([("x", np.ones(2))]))
+    with pytest.raises(ContractError, match="not a cohort"):
+        load_cohort(path)
 
 
 def test_each_epoch_serves_every_member_once():
