@@ -509,28 +509,27 @@ def mean_all(x: Tensor) -> Tensor:
 def _deconv_check(x: np.ndarray, k: np.ndarray, stride: int) -> tuple[int, int]:
     if k.ndim != 4 or k.shape[2] != k.shape[3]:
         raise DimensionError(f"kernel must be CxC'xkxk, got {k.shape}")
-    if x.shape[-3] != k.shape[0]:
+    if x.shape[1] != k.shape[0]:
         raise DimensionError(
-            f"input channels {x.shape[-3]} != kernel in-channels {k.shape[0]}"
+            f"input channels {x.shape[1]} != kernel in-channels {k.shape[0]}"
         )
     if stride < 1:
         raise DimensionError(f"stride must be >= 1, got {stride}")
     kh = k.shape[2]
-    h, w = x.shape[-2], x.shape[-1]
+    h, w = x.shape[2], x.shape[3]
     return (h - 1) * stride + kh, (w - 1) * stride + kh
 
 
 def transposed_conv2d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
     """Fractionally-strided convolution.
 
-    Accepts a single sample (C,H,W) or a batch (N,C,H,W); the kernel is
-    (C, C', k, k) and output spatial size is (H-1)*stride + k.
+    The input is a batch (N, C, H, W), the kernel (C, C', k, k), and the
+    output (N, C', (H-1)*stride + k, (W-1)*stride + k).
     """
     tape = _same_tape(x, kernel)
-    single = x.value.ndim == 3
-    xv = x.value[None] if single else x.value
+    xv = x.value
     if xv.ndim != 4:
-        raise DimensionError(f"input must be (C,H,W) or (N,C,H,W), got {x.shape}")
+        raise DimensionError(f"input must be (N,C,H,W), got {x.shape}")
     kv = kernel.value
     ho, wo = _deconv_check(xv, kv, stride)
     n, c, h, w = xv.shape
@@ -546,8 +545,6 @@ def transposed_conv2d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
                 t[:, :, :, :, di, dj].transpose(0, 3, 1, 2))
 
     def bwd(g):
-        if single:
-            g = g[None]
         dx = np.zeros_like(xv)
         dk = np.zeros_like(kv)
         for di in range(kh):
@@ -560,14 +557,9 @@ def transposed_conv2d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
                 dk[:, :, di, dj] = np.tensordot(
                     xv, gsub, axes=([0, 2, 3], [0, 2, 3])
                 )
-        return (dx[0] if single else dx), dk
+        return dx, dk
 
-    return tape.record(
-        "transposed_conv2d",
-        out[0] if single else out,
-        (x.index, kernel.index),
-        bwd,
-    )
+    return tape.record("transposed_conv2d", out, (x.index, kernel.index), bwd)
 
 
 # ---------------------------------------------------------------------------

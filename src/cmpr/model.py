@@ -1,9 +1,10 @@
 """Toy-scale twin-encoder architecture.
 
 Per modality: a small pre-norm vision transformer (patch embedding +
-learned positions, self-attention blocks, mean-pooled tokens), a linear
-projection head for the contrastive space, a 2-layer GELU MLP for measure
-prediction, and a transposed-convolution decoder for reconstruction.
+learned positions, single-head self-attention blocks on the flat (N*T, D)
+token matrix, mean-pooled tokens), a linear projection head for the
+contrastive space, a 2-layer GELU MLP for measure prediction, and a
+transposed-convolution decoder for reconstruction.
 
 The prediction and decoding heads read the pre-projection encoder
 embedding, which preserves more information than the projection.
@@ -41,7 +42,6 @@ class EncoderConfig:
     patch_size: int = 4
     embed_dim: int = 64
     depth: int = 2
-    heads: int = 1
     proj_dim: int = 32
     pred_hidden: int = 32
     n_measures: int = 4
@@ -53,16 +53,12 @@ class EncoderConfig:
                      "pred_hidden"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be >= 2")
-        if self.depth < 1 or self.heads < 1 or self.n_measures < 1:
-            raise ConfigError("depth, heads and n_measures must be >= 1")
+        if self.depth < 1 or self.n_measures < 1:
+            raise ConfigError("depth and n_measures must be >= 1")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size "
                 f"{self.patch_size}"
-            )
-        if self.embed_dim % self.heads != 0:
-            raise ConfigError(
-                f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
             )
         if not self.decoder_channels or min(self.decoder_channels) < 1:
             raise ConfigError("decoder_channels must be a non-empty list of counts >= 1")
@@ -239,37 +235,26 @@ def _linear(view: ParamView, name: str, x: Tensor) -> Tensor:
     return ad.add_bias(ad.matmul(x, view[f"{name}.w"]), view[f"{name}.b"])
 
 
-def _attention(view: ParamView, prefix: str, x3: Tensor, config: EncoderConfig):
-    n, t, d = x3.shape
-    h = config.heads
-    dh = d // h
-    flat = ad.reshape(x3, (n * t, d))
+def _attention(view: ParamView, prefix: str, x: Tensor, n: int) -> Tensor:
+    """Single-head self-attention within each of the n samples of ``x``."""
+    t, d = x.shape[0] // n, x.shape[1]
 
     def project(tag):
         z = ad.add_bias(
-            ad.matmul(flat, view[f"{prefix}.w{tag}"]), view[f"{prefix}.b{tag}"]
+            ad.matmul(x, view[f"{prefix}.w{tag}"]), view[f"{prefix}.b{tag}"]
         )
-        z = ad.reshape(z, (n, t, h, dh))
-        z = ad.transpose(z, (0, 2, 1, 3))
-        return ad.reshape(z, (n * h, t, dh))
+        return ad.reshape(z, (n, t, d))
 
     q, k, v = project("q"), project("k"), project("v")
-    scores = ad.mul(ad.bmm(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    ctx = ad.bmm(ad.softmax(scores), v)
-    ctx = ad.reshape(ctx, (n, h, t, dh))
-    ctx = ad.transpose(ctx, (0, 2, 1, 3))
-    ctx = ad.reshape(ctx, (n * t, d))
-    out = ad.add_bias(ad.matmul(ctx, view[f"{prefix}.wo"]), view[f"{prefix}.bo"])
-    return ad.reshape(out, (n, t, d))
+    scores = ad.mul(ad.bmm(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d))
+    ctx = ad.reshape(ad.bmm(ad.softmax(scores), v), (n * t, d))
+    return ad.add_bias(ad.matmul(ctx, view[f"{prefix}.wo"]), view[f"{prefix}.bo"])
 
 
-def _mlp(view: ParamView, prefix: str, x3: Tensor) -> Tensor:
-    n, t, d = x3.shape
-    flat = ad.reshape(x3, (n * t, d))
-    hdn = ad.gelu(ad.add_bias(ad.matmul(flat, view[f"{prefix}.w1"]),
+def _mlp(view: ParamView, prefix: str, x: Tensor) -> Tensor:
+    hdn = ad.gelu(ad.add_bias(ad.matmul(x, view[f"{prefix}.w1"]),
                               view[f"{prefix}.b1"]))
-    out = ad.add_bias(ad.matmul(hdn, view[f"{prefix}.w2"]), view[f"{prefix}.b2"])
-    return ad.reshape(out, (n, t, d))
+    return ad.add_bias(ad.matmul(hdn, view[f"{prefix}.w2"]), view[f"{prefix}.b2"])
 
 
 def encode(
@@ -282,18 +267,19 @@ def encode(
     pa = patchify(images, config.patch_size)
     n, t, pd = pa.shape
     x = view.tape.leaf(pa.reshape(n * t, pd), name=f"{modality}.pixels")
+    d = config.embed_dim
     tok = ad.add_bias(
         ad.matmul(x, view[f"{modality}.patch.w"]), view[f"{modality}.patch.b"]
     )
-    x3 = ad.reshape(tok, (n, t, config.embed_dim))
-    x3 = ad.add_bias(x3, view[f"{modality}.pos"])
+    tok = ad.add_bias(ad.reshape(tok, (n, t, d)), view[f"{modality}.pos"])
+    x = ad.reshape(tok, (n * t, d))
     for i in range(config.depth):
         p = f"{modality}.block{i}"
-        normed = ad.layer_norm(x3, view[f"{p}.ln1.g"], view[f"{p}.ln1.b"])
-        x3 = ad.add(x3, _attention(view, f"{p}.attn", normed, config))
-        normed = ad.layer_norm(x3, view[f"{p}.ln2.g"], view[f"{p}.ln2.b"])
-        x3 = ad.add(x3, _mlp(view, f"{p}.mlp", normed))
-    return ad.mean_axis(x3, 1)
+        normed = ad.layer_norm(x, view[f"{p}.ln1.g"], view[f"{p}.ln1.b"])
+        x = ad.add(x, _attention(view, f"{p}.attn", normed, n))
+        normed = ad.layer_norm(x, view[f"{p}.ln2.g"], view[f"{p}.ln2.b"])
+        x = ad.add(x, _mlp(view, f"{p}.mlp", normed))
+    return ad.mean_axis(ad.reshape(x, (n, t, d)), 1)
 
 
 def project(view: ParamView, config: EncoderConfig, emb: Tensor, modality: str):

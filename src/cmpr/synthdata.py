@@ -415,6 +415,13 @@ class StreamScheduler:
 
 _VISITS = ("t", "t_prime")  # saved as their index
 _PROGNOSIS_UNDEFINED = -1.0
+# the values each label column may hold; participant_id is any integer
+_COLUMN_VALUES = {
+    "diagnosis": (0, 1),
+    "prognosis": (_PROGNOSIS_UNDEFINED, 0, 1),
+    "presence": (0, 1),
+    "visit": tuple(range(len(_VISITS))),
+}
 _SPLITS = ("train", "validation", "test")
 
 
@@ -464,9 +471,10 @@ def save_cohort(path: str | Path, cohort: Cohort) -> None:
 def load_cohort(path: str | Path) -> Cohort:
     """Read back a cohort written by ``save_cohort``, samples in saved order.
 
-    A manifest key that is missing or of the wrong type, and an array that
-    is missing or whose shape disagrees with the config and the other
-    arrays' length, raise ``FormatError`` naming the file and the key.
+    A manifest key that is missing or of the wrong type, an array that is
+    missing or whose shape disagrees with the config and the other arrays'
+    length, and a label, visit or participant id column holding a value it
+    cannot hold raise ``FormatError`` naming the file and the key.
     """
     manifest, arrays = arrayio.read_bundle(path)
     if manifest.get("kind") != "cohort":
@@ -484,6 +492,14 @@ def load_cohort(path: str | Path) -> Cohort:
         if arrays[name].shape != (n, *shape):
             raise FormatError(f"{path}: cohort array {name!r} has shape "
                               f"{arrays[name].shape}, expected {(n, *shape)}")
+    for name, allowed in _COLUMN_VALUES.items():
+        if not np.isin(arrays[name], allowed).all():
+            raise FormatError(f"{path}: cohort array {name!r} holds a value "
+                              f"outside {allowed}")
+    pid = arrays["participant_id"]
+    if not (np.isfinite(pid) & (pid == np.trunc(pid))).all():
+        raise FormatError(f"{path}: cohort array 'participant_id' holds a "
+                          f"non-integral or non-finite value")
 
     fr, fl, car, measures, diagnosis, prognosis, presence, pid, visit = (
         arrays[name] for name in shapes

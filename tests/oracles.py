@@ -84,6 +84,59 @@ def layer_norm_rows(
     return out.reshape(x.shape)
 
 
+def encode_loops(
+    arrays: dict[str, np.ndarray],
+    modality: str,
+    images: np.ndarray,
+    patch: int,
+    depth: int,
+) -> np.ndarray:
+    """Mean-pooled pre-norm transformer embedding, one sample and one token
+    at a time: patch linear plus position, then per block single-head
+    softmax attention and a GELU MLP, each on layer-normed input and added
+    back, then the mean over tokens."""
+
+    def p(name):
+        return arrays[f"{modality}.{name}"]
+
+    out = []
+    for img in images:
+        _, h, w = img.shape
+        tokens = []
+        for gi in range(h // patch):
+            for gj in range(w // patch):
+                # channel-major pixels of one patch, patches in raster order
+                pixels = img[:, gi * patch:(gi + 1) * patch,
+                             gj * patch:(gj + 1) * patch].reshape(-1)
+                tokens.append(pixels @ p("patch.w") + p("patch.b"))
+        x = np.array(tokens) + p("pos")
+        t, d = x.shape
+        for i in range(depth):
+            b = f"block{i}"
+            normed = layer_norm_rows(x, p(f"{b}.ln1.g"), p(f"{b}.ln1.b"))
+            q = [row @ p(f"{b}.attn.wq") + p(f"{b}.attn.bq") for row in normed]
+            k = [row @ p(f"{b}.attn.wk") + p(f"{b}.attn.bk") for row in normed]
+            v = [row @ p(f"{b}.attn.wv") + p(f"{b}.attn.bv") for row in normed]
+            attended = np.zeros((t, d))
+            for a in range(t):
+                scores = [float(q[a] @ k[j]) / math.sqrt(d) for j in range(t)]
+                top = max(scores)
+                weights = [math.exp(s - top) for s in scores]
+                total = sum(weights)
+                ctx = sum(wt / total * v[j] for j, wt in enumerate(weights))
+                attended[a] = ctx @ p(f"{b}.attn.wo") + p(f"{b}.attn.bo")
+            x = x + attended
+            normed = layer_norm_rows(x, p(f"{b}.ln2.g"), p(f"{b}.ln2.b"))
+            mlp = np.zeros((t, d))
+            for a in range(t):
+                pre = normed[a] @ p(f"{b}.mlp.w1") + p(f"{b}.mlp.b1")
+                hidden, _ = gelu_tanh_elementwise(pre)
+                mlp[a] = hidden @ p(f"{b}.mlp.w2") + p(f"{b}.mlp.b2")
+            x = x + mlp
+        out.append(sum(x[a] for a in range(t)) / t)
+    return np.array(out)
+
+
 def top_k_full_sort(sim: np.ndarray, k: int) -> float:
     """Sort every row (descending value, ascending column on ties) and check
     whether the diagonal index survives in the first k entries."""

@@ -261,16 +261,16 @@ def test_equal_shape_only_broadcasting():
 
 def test_deconv_delta_input_broadcasts_kernel():
     tape = ad.Tape()
-    x = tape.leaf(np.full((1, 1, 1), 3.5))
+    x = tape.leaf(np.full((1, 1, 1, 1), 3.5))
     k = tape.leaf(np.ones((1, 1, 2, 2)))
     out = ad.transposed_conv2d(x, k, stride=2)
-    assert out.value.shape == (1, 2, 2)
-    np.testing.assert_array_equal(out.value, np.full((1, 2, 2), 3.5))
+    assert out.value.shape == (1, 1, 2, 2)
+    np.testing.assert_array_equal(out.value, np.full((1, 1, 2, 2), 3.5))
 
 
 def test_deconv_zero_kernel():
     tape = ad.Tape()
-    x = tape.leaf(np.random.default_rng(1).standard_normal((2, 3, 3)))
+    x = tape.leaf(np.random.default_rng(1).standard_normal((1, 2, 3, 3)))
     k = tape.leaf(np.zeros((2, 4, 2, 2)))
     out = ad.transposed_conv2d(x, k, stride=2)
     np.testing.assert_array_equal(out.value, 0.0)
@@ -284,39 +284,36 @@ DECONV_GEOMETRIES = [(2, 2), (3, 2), (2, 1), (2, 3)]
 def test_deconv_seeded_against_direct_summation():
     rng = np.random.default_rng(21)
     for kernel, stride in DECONV_GEOMETRIES:
-        for batched in (False, True):
-            x = rng.standard_normal((2, 2, 3, 3) if batched else (2, 3, 3))
+        for n in (1, 2):
+            x = rng.standard_normal((n, 2, 3, 3))
             k = rng.standard_normal((2, 3, kernel, kernel))
-            samples = x if batched else x[None]
             expected = np.stack(
-                [transposed_conv2d_direct(xs, k, stride) for xs in samples]
+                [transposed_conv2d_direct(xs, k, stride) for xs in x]
             )
             tape = ad.Tape()
             out = ad.transposed_conv2d(tape.leaf(x), tape.leaf(k), stride=stride)
             side = 2 * stride + kernel  # (H - 1) * stride + kernel, H = 3
-            assert out.value.shape == ((2, 3, side, side) if batched
-                                       else (3, side, side))
+            assert out.value.shape == (n, 3, side, side)
             np.testing.assert_allclose(
-                out.value, expected if batched else expected[0], rtol=0,
-                atol=1e-13, err_msg=f"kernel {kernel} stride {stride} "
-                f"batched {batched}",
+                out.value, expected, rtol=0, atol=1e-13,
+                err_msg=f"kernel {kernel} stride {stride} batch {n}",
             )
 
 
 def test_deconv_output_size_contract():
     # H' = (H-1)*stride + k
     tape = ad.Tape()
-    x = tape.leaf(np.ones((1, 4, 4)))
+    x = tape.leaf(np.ones((1, 1, 4, 4)))
     k = tape.leaf(np.ones((1, 2, 3, 3)))
     out = ad.transposed_conv2d(x, k, stride=2)
-    assert out.value.shape == (2, 9, 9)
+    assert out.value.shape == (1, 2, 9, 9)
 
 
 def test_deconv_channel_mismatch():
     tape = ad.Tape()
     with pytest.raises(DimensionError):
         ad.transposed_conv2d(
-            tape.leaf(np.ones((2, 3, 3))), tape.leaf(np.ones((3, 1, 2, 2))), 2
+            tape.leaf(np.ones((1, 2, 3, 3))), tape.leaf(np.ones((3, 1, 2, 2))), 2
         )
 
 
@@ -327,8 +324,8 @@ def test_deconv_batched_matches_per_sample():
     tape = ad.Tape()
     full = ad.transposed_conv2d(tape.leaf(x), tape.leaf(k), stride=2).value
     for n in range(3):
-        single = ad.transposed_conv2d(tape.leaf(x[n]), tape.leaf(k), stride=2).value
-        np.testing.assert_array_equal(full[n], single)
+        one = ad.transposed_conv2d(tape.leaf(x[n:n + 1]), tape.leaf(k), stride=2).value
+        np.testing.assert_array_equal(full[n], one[0])
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +605,13 @@ def test_grad_bias_and_mean_axis(seed):
 def test_grad_transposed_conv2d(seed):
     rng = np.random.default_rng(seed)
     for kernel, stride in DECONV_GEOMETRIES:
-        for batched in (False, True):
+        for n in (1, 2):
             params = {
-                "x": rng.standard_normal((2, 2, 3, 3) if batched else (2, 3, 3)),
+                "x": rng.standard_normal((n, 2, 3, 3)),
                 "k": rng.standard_normal((2, 3, kernel, kernel)),
             }
             side = 2 * stride + kernel
-            r = rng.standard_normal((2, 3, side, side) if batched
-                                    else (3, side, side))
+            r = rng.standard_normal((n, 3, side, side))
 
             def build(tape, p):
                 out = ad.transposed_conv2d(p["x"], p["k"], stride=stride)

@@ -1,5 +1,7 @@
 """Twin-encoder model: shapes, determinism, init, gradients, checkpoints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from cmpr import losses, model
 from cmpr.errors import ConfigError, ContractError, DimensionError, FormatError
 from cmpr.model import EncoderConfig, ParamView
 
-from oracles import assert_grads_close, expected_param_count
+from oracles import assert_grads_close, encode_loops, expected_param_count
 
 
 TINY = EncoderConfig(
@@ -16,7 +18,6 @@ TINY = EncoderConfig(
     patch_size=4,
     embed_dim=8,
     depth=1,
-    heads=1,
     proj_dim=4,
     pred_hidden=4,
     n_measures=2,
@@ -40,11 +41,6 @@ def rand_images(rng, n, size):
 def test_config_rejects_bad_patch_divisibility():
     with pytest.raises(ConfigError):
         EncoderConfig(image_size=16, patch_size=5)
-
-
-def test_config_rejects_bad_heads():
-    with pytest.raises(ConfigError):
-        EncoderConfig(embed_dim=64, heads=3)
 
 
 def test_config_rejects_unreachable_decoder_target():
@@ -191,15 +187,24 @@ def test_encode_rejects_out_of_range_pixels():
         )
 
 
-def test_multi_head_matches_shapes():
-    cfg = EncoderConfig(
-        image_size=8, patch_size=4, embed_dim=8, depth=1, heads=2,
-        proj_dim=4, pred_hidden=4, n_measures=2, decoder_channels=[4],
-    )
-    params = model.init_params(cfg, seed=9)
-    rng = np.random.default_rng(3)
-    emb = model.encode(make_view(params), cfg, rand_images(rng, 3, 8), "fundus")
-    assert emb.shape == (3, 8)
+@pytest.mark.parametrize(
+    "cfg",
+    [TINY, dataclasses.replace(TINY, patch_size=2, embed_dim=6, depth=2)],
+    ids=["tiny", "depth2"],
+)
+def test_encode_matches_loop_oracle(cfg):
+    # every parameter random, so biases, layer-norm affines and positions
+    # all reach the output
+    rng = np.random.default_rng(14)
+    params = model.init_params(cfg, seed=14)
+    for name, arr in params.arrays.items():
+        params.arrays[name] = rng.normal(0.0, 0.5, size=arr.shape)
+    images = rand_images(rng, 3, cfg.image_size)
+    for modality in model.MODALITIES:
+        got = model.encode(make_view(params), cfg, images, modality).value
+        want = encode_loops(params.arrays, modality, images, cfg.patch_size,
+                            cfg.depth)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 def test_patchify_layout():
@@ -425,6 +430,20 @@ def test_checkpoint_malformed_manifest_raises_format_error(tmp_path, change, key
     path = tmp_path / "bad.cmpr"
     arrayio.write_bundle(path, manifest, OrderedDict([("param/x", np.ones(2))]))
     with pytest.raises(FormatError, match=f"bad.cmpr.*'{key}'"):
+        model.load_checkpoint(path)
+
+
+def test_checkpoint_with_heads_key_raises_config_error(tmp_path):
+    # the encoder is single-head; a config that still names heads is not one
+    # this code can run
+    from cmpr import arrayio
+
+    path = tmp_path / "ckpt.cmpr"
+    model.save_checkpoint(path, model.init_params(TINY, seed=15), TINY, step=2)
+    manifest, arrays = arrayio.read_bundle(path)
+    manifest["encoder_config"]["heads"] = 1
+    arrayio.write_bundle(path, manifest, arrays)
+    with pytest.raises(ConfigError, match="heads"):
         model.load_checkpoint(path)
 
 

@@ -224,6 +224,33 @@ def test_load_cohort_malformed_array_raises_format_error(
         load_cohort(path)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("visit", 2.0),
+        ("participant_id", np.nan),
+        ("participant_id", np.inf),
+        ("participant_id", 1.5),
+        ("diagnosis", 0.5),
+        ("prognosis", 7.0),
+        ("presence", 0.5),
+    ],
+    ids=["visit_2", "participant_id_nan", "participant_id_inf",
+         "participant_id_fraction", "diagnosis_half", "prognosis_7", "presence_half"],
+)
+def test_load_cohort_bad_column_value_raises_format_error(
+    tmp_path, saved_cohort, name, value
+):
+    manifest, arrays = saved_cohort
+    arrays = OrderedDict(arrays)
+    arrays[name] = arrays[name].copy()
+    arrays[name].flat[0] = value
+    path = tmp_path / "bad.cmpr"
+    arrayio.write_bundle(path, manifest, arrays)
+    with pytest.raises(FormatError, match=f"bad.cmpr.*'{name}'"):
+        load_cohort(path)
+
+
 def test_load_cohort_rejects_a_checkpoint(tmp_path):
     path = tmp_path / "ckpt.cmpr"
     arrayio.write_bundle(path, {"kind": "checkpoint"}, OrderedDict([("x", np.ones(2))]))
