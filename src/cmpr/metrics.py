@@ -3,7 +3,9 @@
 Top-k retrieval accuracy over a cosine-similarity matrix (row i queries
 the columns; the diagonal is the true partner), its chance-adjusted
 multiplicative variant, the coefficient of determination, and ROC AUC in
-the Mann-Whitney pairwise-concordance form.
+the Mann-Whitney pairwise-concordance form, with the average ranks it
+needs computed in numpy.  Every input must be finite: a NaN or Inf raises
+``NonFiniteError`` rather than ranking or averaging silently.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     ContractError,
@@ -19,6 +20,7 @@ from .errors import (
     DegenerateLabelError,
     DegenerateTargetError,
     DimensionError,
+    NonFiniteError,
 )
 
 DEFAULT_K_VALUES = (5, 25, 100)
@@ -48,12 +50,19 @@ class MetricReport:
         return rows
 
 
+def _check_finite(caller: str, *arrays: np.ndarray) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NonFiniteError(f"{caller}: input holds NaN or Inf")
+
+
 def similarity_matrix(emb_i: np.ndarray, emb_j: np.ndarray) -> np.ndarray:
     """Cosine similarities of two paired embedding sets (numpy, no tape)."""
     if emb_i.shape != emb_j.shape or emb_i.ndim != 2:
         raise DimensionError(
             f"paired embeddings must share N x D, got {emb_i.shape} vs {emb_j.shape}"
         )
+    _check_finite("similarity_matrix", emb_i, emb_j)
     ni = np.linalg.norm(emb_i, axis=1, keepdims=True)
     nj = np.linalg.norm(emb_j, axis=1, keepdims=True)
     if np.any(ni == 0.0) or np.any(nj == 0.0):
@@ -61,10 +70,23 @@ def similarity_matrix(emb_i: np.ndarray, emb_j: np.ndarray) -> np.ndarray:
     return (emb_i / ni) @ (emb_j / nj).T
 
 
-def _check_square(sim: np.ndarray) -> int:
+def _diagonal_ranks(sim: np.ndarray) -> np.ndarray:
+    """Each row's 0-based rank of its diagonal entry among the row's
+    values, descending; ties break toward the lower column index."""
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise DimensionError(f"similarity matrix must be square, got {sim.shape}")
-    return sim.shape[0]
+    n = sim.shape[0]
+    diag = np.diagonal(sim)[:, None]
+    cols = np.arange(n)[None, :]
+    rows = np.arange(n)[:, None]
+    return (sim > diag).sum(axis=1) + ((sim == diag) & (cols < rows)).sum(axis=1)
+
+
+def _hit_rate(ranks: np.ndarray, k: int) -> float:
+    n = ranks.size
+    if not 1 <= k <= n:
+        raise ContractError(f"k must be in [1, {n}], got {k}")
+    return float(np.mean(ranks < k))
 
 
 def top_k_accuracy(sim: np.ndarray, k: int) -> float:
@@ -73,28 +95,21 @@ def top_k_accuracy(sim: np.ndarray, k: int) -> float:
     Ranking is by descending value; ties break toward the lower column
     index, so results are deterministic.
     """
-    n = _check_square(sim)
-    if not 1 <= k <= n:
-        raise ContractError(f"k must be in [1, {n}], got {k}")
-    diag = np.diagonal(sim)[:, None]
-    cols = np.arange(n)[None, :]
-    rows = np.arange(n)[:, None]
-    stronger = (sim > diag).sum(axis=1)
-    tied_earlier = ((sim == diag) & (cols < rows)).sum(axis=1)
-    return float(np.mean(stronger + tied_earlier < k))
+    return _hit_rate(_diagonal_ranks(sim), k)
 
 
 def multiplicative_top_k(sim: np.ndarray, k: int) -> float:
     """Top-k accuracy divided by the chance rate k/N; 1.0 is random."""
-    n = _check_square(sim)
-    return top_k_accuracy(sim, k) * n / k
+    return top_k_accuracy(sim, k) * len(sim) / k
 
 
 def topk_report(sim: np.ndarray, k_values=DEFAULT_K_VALUES) -> MetricReport:
+    """Top-k and multiplicative top-k at each k, ranking ``sim`` once."""
     report = MetricReport(k_values=[int(k) for k in k_values])
+    ranks = _diagonal_ranks(sim)
     for k in report.k_values:
-        report.top_k[k] = top_k_accuracy(sim, k)
-        report.mult_top_k[k] = multiplicative_top_k(sim, k)
+        report.top_k[k] = _hit_rate(ranks, k)
+        report.mult_top_k[k] = report.top_k[k] * ranks.size / k
     return report
 
 
@@ -104,6 +119,7 @@ def r_squared(y: np.ndarray, y_hat: np.ndarray) -> float:
     y_hat = np.asarray(y_hat, dtype=np.float64).reshape(-1)
     if y.shape != y_hat.shape:
         raise DimensionError(f"lengths differ: {y.shape} vs {y_hat.shape}")
+    _check_finite("r_squared", y, y_hat)
     if y.size < 2:
         raise ContractError("r_squared needs at least two observations")
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -113,17 +129,35 @@ def r_squared(y: np.ndarray, y_hat: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, each run of tied values given the mean of
+    the ranks it spans (``-0.0`` ties ``0.0``)."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]  # one past each run's last position
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
-    """(concordant + 0.5 * tied) / (n_pos * n_neg) via average ranks."""
+    """(concordant + 0.5 * tied) / (n_pos * n_neg) via average ranks.
+
+    Labels must be 0 or 1 and scores finite.
+    """
     labels = np.asarray(labels).reshape(-1)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     if labels.shape != scores.shape:
         raise DimensionError(f"lengths differ: {labels.shape} vs {scores.shape}")
+    if not np.isin(labels, (0, 1)).all():
+        raise ContractError("roc_auc: labels must be 0 or 1")
+    _check_finite("roc_auc", scores)
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelError("need at least one positive and one negative")
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

@@ -111,9 +111,6 @@ class ModelParams:
     def n_params(self) -> int:
         return sum(v.size for v in self.arrays.values())
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(OrderedDict((k, v.copy()) for k, v in self.arrays.items()))
-
 
 class ParamView:
     """Wraps parameter arrays as tape leaves on first use.

@@ -16,7 +16,7 @@ with missing modalities handled by qualification rather than imputation.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -437,7 +437,9 @@ def _columns(config: CohortConfig) -> dict:
         "diagnosis": ((), lambda s: s.diagnosis_label),
         "prognosis": ((), lambda s: _PROGNOSIS_UNDEFINED
                       if s.prognosis_label is None else s.prognosis_label),
-        "presence": ((3,), lambda s: astuple(s.presence_mask)),
+        "presence": ((3,), lambda s: (s.presence_mask.fundus_right,
+                                      s.presence_mask.fundus_left,
+                                      s.presence_mask.carotid)),
         "participant_id": ((), lambda s: s.participant_id),
         "visit": ((), lambda s: _VISITS.index(s.visit)),
     }

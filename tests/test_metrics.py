@@ -1,14 +1,21 @@
 """Top-k retrieval metrics, R-squared, ROC AUC, and their oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cmpr
 from cmpr import metrics
 from cmpr.errors import (
     ContractError,
     DegenerateLabelError,
     DegenerateTargetError,
     DimensionError,
+    NonFiniteError,
 )
 
 from oracles import auc_pairwise, r_squared_two_pass, top_k_full_sort
@@ -130,6 +137,18 @@ def test_topk_report_structure():
     assert rows[0][:3] == (10, "top_k", 1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_topk_report_matches_full_sort_oracle_with_ties(n):
+    for seed in range(5):
+        # three distinct values: most rows tie their diagonal with others
+        sim = np.random.default_rng(seed).integers(0, 3, size=(n, n)).astype(float)
+        report = metrics.topk_report(sim, k_values=range(1, n + 1))
+        for k in range(1, n + 1):
+            want = top_k_full_sort(sim, k)
+            assert report.top_k[k] == want
+            assert report.mult_top_k[k] == want * n / k
+
+
 # ---------------------------------------------------------------------------
 # r_squared
 # ---------------------------------------------------------------------------
@@ -219,6 +238,74 @@ def test_auc_matches_pairwise_oracle_100_sets():
         got = metrics.roc_auc(labels, scores)
         want = auc_pairwise(labels, scores)
         assert abs(got - want) < 1e-12
+
+
+def _auc_sweep_scores(kind, rng, n):
+    if kind == "round0":
+        return np.round(rng.uniform(0, 3, size=n), 0)
+    if kind == "round1":
+        return np.round(rng.uniform(0, 1, size=n), 1)
+    if kind == "all_equal":
+        return np.full(n, 0.25)
+    # signed zeros, which tie each other, among a few other values
+    return rng.choice([-0.0, 0.0, 0.0, -1.0, 2.0], size=n)
+
+
+@pytest.mark.parametrize("kind", ["round0", "round1", "all_equal", "signed_zero"])
+def test_auc_matches_pairwise_oracle_sweep(kind):
+    rng = np.random.default_rng(0)
+    for n in (2, 3, 5, 17, 64, 150, 300):
+        for _ in range(3):
+            labels = rng.integers(0, 2, size=n)
+            labels[0], labels[-1] = 0, 1
+            scores = _auc_sweep_scores(kind, rng, n)
+            got = metrics.roc_auc(labels, scores)
+            assert abs(got - auc_pairwise(labels, scores)) < 1e-12, (n, kind)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: metrics.roc_auc([0, 1, 2, 1], [0.1, 0.2, 0.3, 0.4]), ContractError),
+        (lambda: metrics.roc_auc([0, 1, -1, 1], [0.1, 0.2, 0.3, 0.4]), ContractError),
+        (lambda: metrics.roc_auc([0, 1, 0.5, 1], [0.1, 0.2, 0.3, 0.4]), ContractError),
+        (lambda: metrics.roc_auc([0, 1, 0, 1], [0.1, np.nan, 0.3, 0.4]), NonFiniteError),
+        (lambda: metrics.roc_auc([0, 1, 0, 1], [0.1, np.inf, 0.3, 0.4]), NonFiniteError),
+        (lambda: metrics.roc_auc([0, 1, 0, 1], [0.1, 0.2, -np.inf, 0.4]), NonFiniteError),
+        (lambda: metrics.r_squared([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]), NonFiniteError),
+        (lambda: metrics.r_squared([1.0, 2.0, 3.0], [1.0, np.inf, 3.0]), NonFiniteError),
+        (lambda: metrics.r_squared([1.0, -np.inf, 3.0], [1.0, 2.0, 3.0]), NonFiniteError),
+        (lambda: metrics.similarity_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]), np.eye(2)),
+         NonFiniteError),
+        (lambda: metrics.similarity_matrix(np.eye(2), np.array([[1.0, 0.0], [np.inf, 1.0]])),
+         NonFiniteError),
+    ],
+    ids=[
+        "auc_label_2", "auc_label_minus_1", "auc_label_half",
+        "auc_score_nan", "auc_score_inf", "auc_score_minus_inf",
+        "r2_y_nan", "r2_y_hat_inf", "r2_y_minus_inf",
+        "similarity_nan", "similarity_inf",
+    ],
+)
+def test_metric_bad_input_raises_typed_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_importing_cmpr_leaves_scipy_unloaded():
+    # a fresh interpreter, because this one may have imported scipy already
+    code = (
+        "import importlib, pkgutil, sys, cmpr\n"
+        "for m in pkgutil.iter_modules(cmpr.__path__):\n"
+        "    importlib.import_module('cmpr.' + m.name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cmpr.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_auc_single_class_rejected():

@@ -330,7 +330,7 @@ def test_encoder_projection_gradients_match_fd(seed):
     subset = {k: base.arrays[k].copy() for k in names}
 
     def run(p):
-        trial = base.copy()
+        trial = model.ModelParams(base.arrays.copy())
         for k, v in p.items():
             trial.arrays[k] = v
         view = make_view(trial)
