@@ -3,8 +3,10 @@
 Only the operations the model and losses actually need are implemented;
 this is not a general autodiff framework.  Broadcasting is deliberately
 restricted to scalar<->array and equal shapes (plus the dedicated
-``add_bias`` op for trailing-shape biases).  Every forward op checks its
-result for NaN/Inf and raises instead of propagating garbage.
+``add_bias`` op for trailing-shape biases).  Every op that computes new
+values checks them for NaN/Inf and raises instead of propagating garbage;
+the view ops (``reshape``, ``transpose``) do not, because their value is a
+view of an input that was checked when it was recorded.
 
 A ``Tape`` records nodes in execution order, so topological order holds by
 construction; ``backward`` walks the node list once, in reverse.
@@ -87,8 +89,7 @@ class Tape:
     def leaf(self, value, name: str = "leaf") -> Tensor:
         arr = np.asarray(value, dtype=np.float64)
         _check_finite(arr, name)
-        self.nodes.append(Node(name, (), None))
-        return Tensor(self, len(self.nodes) - 1, arr)
+        return self.append(name, arr, (), None)
 
     def record(
         self,
@@ -99,6 +100,17 @@ class Tape:
     ) -> Tensor:
         value = np.asarray(value, dtype=np.float64)
         _check_finite(value, op)
+        return self.append(op, value, parents, backward_fn)
+
+    def append(
+        self,
+        op: str,
+        value: np.ndarray,
+        parents: tuple[int, ...],
+        backward_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None,
+    ) -> Tensor:
+        """Record ``value`` unchecked: only for a float64 view of a value
+        this tape already checked."""
         self.nodes.append(Node(op, parents, backward_fn))
         return Tensor(self, len(self.nodes) - 1, value)
 
@@ -335,6 +347,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return tape.record("matmul", out, (a.index, b.index), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a 2-D x and w and a 1-D b, as one node.
+
+    The bias is added in place into the product, so the layer allocates
+    one output array and checks it once; the arithmetic is that of
+    ``add_bias(matmul(x, w), b)``.
+    """
+    tape = _same_tape(x, w, b)
+    if x.value.ndim != 2 or w.value.ndim != 2:
+        raise DimensionError(
+            f"linear expects 2-D x and w, got {x.shape} and {w.shape}"
+        )
+    if x.shape[1] != w.shape[0]:
+        raise DimensionError(f"linear inner dims {x.shape} vs {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise DimensionError(f"linear bias shape {b.shape} for weight {w.shape}")
+    xv, wv = x.value, w.value
+    out = xv @ wv
+    out += b.value
+
+    def bwd(g):
+        return g @ wv.T, xv.T @ g, g.sum(axis=0)
+
+    return tape.record("linear", out, (x.index, w.index, b.index), bwd)
+
+
 def bmm(a: Tensor, b: Tensor) -> Tensor:
     """Batched matmul over matching leading dimension: (B,M,K)@(B,K,N)."""
     tape = _same_tape(a, b)
@@ -355,7 +393,7 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inv = tuple(int(i) for i in np.argsort(axes))
     out = a.value.transpose(axes)
-    return a.tape.record(
+    return a.tape.append(
         "transpose", out, (a.index,), lambda g: (g.transpose(inv),)
     )
 
@@ -366,7 +404,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
     orig = a.value.shape
     out = a.value.reshape(shape)
-    return a.tape.record("reshape", out, (a.index,), lambda g: (g.reshape(orig),))
+    return a.tape.append("reshape", out, (a.index,), lambda g: (g.reshape(orig),))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -392,7 +430,9 @@ def row_l2_normalize(x: Tensor) -> Tensor:
     """Scale every row of an N x D matrix to unit Euclidean norm."""
     if x.value.ndim != 2:
         raise DimensionError(f"row_l2_normalize expects 2-D, got {x.shape}")
-    norms = np.linalg.norm(x.value, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
+        norms = np.linalg.norm(x.value, axis=1, keepdims=True)
+    _check_finite(norms, "row_l2_normalize")
     if np.any(norms == 0.0):
         raise DegenerateInputError("zero-norm row cannot be normalized")
     y = x.value / norms

@@ -4,12 +4,14 @@ Top-k retrieval accuracy over a cosine-similarity matrix (row i queries
 the columns; the diagonal is the true partner), its chance-adjusted
 multiplicative variant, the coefficient of determination, and ROC AUC in
 the Mann-Whitney pairwise-concordance form, with the average ranks it
-needs computed in numpy.  Every input must be finite: a NaN or Inf raises
-``NonFiniteError`` rather than ranking or averaging silently.
+needs computed in numpy.  Every input must be finite: a NaN or Inf, or a
+row norm or sum of squares that overflows, raises ``NonFiniteError``
+rather than ranking or averaging silently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +65,11 @@ def similarity_matrix(emb_i: np.ndarray, emb_j: np.ndarray) -> np.ndarray:
             f"paired embeddings must share N x D, got {emb_i.shape} vs {emb_j.shape}"
         )
     _check_finite("similarity_matrix", emb_i, emb_j)
-    ni = np.linalg.norm(emb_i, axis=1, keepdims=True)
-    nj = np.linalg.norm(emb_j, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # an overflowing norm raises below
+        ni = np.linalg.norm(emb_i, axis=1, keepdims=True)
+        nj = np.linalg.norm(emb_j, axis=1, keepdims=True)
+    if not (np.isfinite(ni).all() and np.isfinite(nj).all()):
+        raise NonFiniteError("similarity_matrix: a row norm overflows")
     if np.any(ni == 0.0) or np.any(nj == 0.0):
         raise DegenerateInputError("zero-norm embedding row")
     return (emb_i / ni) @ (emb_j / nj).T
@@ -122,10 +127,13 @@ def r_squared(y: np.ndarray, y_hat: np.ndarray) -> float:
     _check_finite("r_squared", y, y_hat)
     if y.size < 2:
         raise ContractError("r_squared needs at least two observations")
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    with np.errstate(over="ignore"):  # an overflowing sum raises below
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        ss_res = float(np.sum((y - y_hat) ** 2))
+    if not (math.isfinite(ss_tot) and math.isfinite(ss_res)):
+        raise NonFiniteError("r_squared: a sum of squares overflows")
     if ss_tot == 0.0:
         raise DegenerateTargetError("target is constant")
-    ss_res = float(np.sum((y - y_hat) ** 2))
     return 1.0 - ss_res / ss_tot
 
 

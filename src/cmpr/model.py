@@ -228,8 +228,9 @@ def _validate_images(images: np.ndarray, config: EncoderConfig) -> None:
         raise ContractError("image values must lie in [0, 1]")
 
 
-def _linear(view: ParamView, name: str, x: Tensor) -> Tensor:
-    return ad.add_bias(ad.matmul(x, view[f"{name}.w"]), view[f"{name}.b"])
+def _linear(view: ParamView, x: Tensor, prefix: str, tag: str = "") -> Tensor:
+    """The layer with weight ``{prefix}.w{tag}`` and bias ``{prefix}.b{tag}``."""
+    return ad.linear(x, view[f"{prefix}.w{tag}"], view[f"{prefix}.b{tag}"])
 
 
 def _attention(view: ParamView, prefix: str, x: Tensor, n: int) -> Tensor:
@@ -237,21 +238,17 @@ def _attention(view: ParamView, prefix: str, x: Tensor, n: int) -> Tensor:
     t, d = x.shape[0] // n, x.shape[1]
 
     def project(tag):
-        z = ad.add_bias(
-            ad.matmul(x, view[f"{prefix}.w{tag}"]), view[f"{prefix}.b{tag}"]
-        )
-        return ad.reshape(z, (n, t, d))
+        return ad.reshape(_linear(view, x, prefix, tag), (n, t, d))
 
     q, k, v = project("q"), project("k"), project("v")
     scores = ad.mul(ad.bmm(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d))
     ctx = ad.reshape(ad.bmm(ad.softmax(scores), v), (n * t, d))
-    return ad.add_bias(ad.matmul(ctx, view[f"{prefix}.wo"]), view[f"{prefix}.bo"])
+    return _linear(view, ctx, prefix, "o")
 
 
 def _mlp(view: ParamView, prefix: str, x: Tensor) -> Tensor:
-    hdn = ad.gelu(ad.add_bias(ad.matmul(x, view[f"{prefix}.w1"]),
-                              view[f"{prefix}.b1"]))
-    return ad.add_bias(ad.matmul(hdn, view[f"{prefix}.w2"]), view[f"{prefix}.b2"])
+    hdn = ad.gelu(_linear(view, x, prefix, "1"))
+    return _linear(view, hdn, prefix, "2")
 
 
 def encode(
@@ -265,9 +262,7 @@ def encode(
     n, t, pd = pa.shape
     x = view.tape.leaf(pa.reshape(n * t, pd), name=f"{modality}.pixels")
     d = config.embed_dim
-    tok = ad.add_bias(
-        ad.matmul(x, view[f"{modality}.patch.w"]), view[f"{modality}.patch.b"]
-    )
+    tok = _linear(view, x, f"{modality}.patch")
     tok = ad.add_bias(ad.reshape(tok, (n, t, d)), view[f"{modality}.pos"])
     x = ad.reshape(tok, (n * t, d))
     for i in range(config.depth):
@@ -285,7 +280,7 @@ def project(view: ParamView, config: EncoderConfig, emb: Tensor, modality: str):
         raise DimensionError(
             f"expected embeddings of width {config.embed_dim}, got {emb.shape}"
         )
-    return _linear(view, f"{modality}.proj", emb)
+    return _linear(view, emb, f"{modality}.proj")
 
 
 def predict_measures(
@@ -296,12 +291,7 @@ def predict_measures(
         raise DimensionError(
             f"prediction head expects width {config.embed_dim}, got {emb.shape}"
         )
-    hdn = ad.gelu(
-        ad.add_bias(ad.matmul(emb, view[f"{modality}.pred.w1"]),
-                    view[f"{modality}.pred.b1"])
-    )
-    return ad.add_bias(ad.matmul(hdn, view[f"{modality}.pred.w2"]),
-                       view[f"{modality}.pred.b2"])
+    return _mlp(view, f"{modality}.pred", emb)
 
 
 def decode(
@@ -315,8 +305,7 @@ def decode(
     n = emb.shape[0]
     hw = config.decoder_seed_hw
     c0 = config.decoder_channels[0]
-    seed = ad.add_bias(ad.matmul(emb, view[f"{modality}.dec.seed.w"]),
-                       view[f"{modality}.dec.seed.b"])
+    seed = _linear(view, emb, f"{modality}.dec.seed")
     x = ad.reshape(seed, (n, c0, hw, hw))
     chain = config.decoder_chain
     for i in range(len(chain) - 1):

@@ -105,6 +105,73 @@ def test_matmul_associativity():
 
 
 # ---------------------------------------------------------------------------
+# linear
+# ---------------------------------------------------------------------------
+
+
+def _fused_and_split(x, ws, bs, r):
+    """Value and x, w, b gradients of a sum of linear layers that all read
+    x, once through ``linear`` and once through ``add_bias(matmul)``."""
+    results = []
+    for layer in (ad.linear, lambda xt, w, b: ad.add_bias(ad.matmul(xt, w), b)):
+        tape = ad.Tape()
+        xt = tape.leaf(x)
+        wt = [tape.leaf(w) for w in ws]
+        bt = [tape.leaf(b) for b in bs]
+        outs = [layer(xt, w, b) for w, b in zip(wt, bt)]
+        loss = sum_all(ad.mul(outs[0], tape.leaf(r)))
+        for out in outs[1:]:
+            loss = ad.add(loss, sum_all(ad.mul(out, out)))
+        grads = ad.backward(tape, loss)
+        results.append((
+            [o.value for o in outs],
+            grads.of(xt),
+            [grads.of(w) for w in wt],
+            [grads.of(b) for b in bt],
+        ))
+    return results
+
+
+@pytest.mark.parametrize("n_layers", [1, 3], ids=["one", "qkv"])
+def test_linear_is_bitwise_matmul_then_add_bias(n_layers):
+    # three layers on one input, as q/k/v are, fix the order in which
+    # backward accumulates the x gradient
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((7, 5))
+    ws = [rng.standard_normal((5, 4)) for _ in range(n_layers)]
+    bs = [rng.standard_normal(4) for _ in range(n_layers)]
+    r = rng.standard_normal((7, 4))
+    (out_f, gx_f, gw_f, gb_f), (out_s, gx_s, gw_s, gb_s) = _fused_and_split(
+        x, ws, bs, r
+    )
+    for got, want in zip(out_f + [gx_f] + gw_f + gb_f, out_s + [gx_s] + gw_s + gb_s):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "x_shape, w_shape, b_shape",
+    [((2, 3, 4), (4, 5), (5,)), ((2, 3), (4, 5), (5,)), ((2, 4), (4, 5), (4,)),
+     ((2, 4), (4, 5), (1, 5))],
+    ids=["x_3d", "inner_dims", "bias_length", "bias_2d"],
+)
+def test_linear_shape_errors(x_shape, w_shape, b_shape):
+    tape = ad.Tape()
+    x, w, b = (tape.leaf(np.ones(s)) for s in (x_shape, w_shape, b_shape))
+    with pytest.raises(DimensionError, match="linear"):
+        ad.linear(x, w, b)
+
+
+def test_linear_overflow_raises_nonfinite():
+    tape = ad.Tape()
+    x = tape.leaf([[1e200, 1e200]])
+    w = tape.leaf([[1e200], [1.0]])
+    # numpy's overflow warning is silenced so that the op's own check is
+    # what must catch the Inf
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="'linear'"):
+        ad.linear(x, w, tape.leaf([0.0]))
+
+
+# ---------------------------------------------------------------------------
 # row_l2_normalize
 # ---------------------------------------------------------------------------
 
@@ -486,6 +553,22 @@ def test_grad_matmul(seed):
 
     def build(tape, p):
         return sum_all(ad.mul(ad.matmul(p["a"], p["b"]), tape.leaf(r)))
+
+    fd_check(build, params)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_linear(seed):
+    rng = np.random.default_rng(seed)
+    params = {
+        "x": rng.standard_normal((3, 4)),
+        "w": rng.standard_normal((4, 2)),
+        "b": rng.standard_normal(2),
+    }
+    r = rng.standard_normal((3, 2))
+
+    def build(tape, p):
+        return sum_all(ad.mul(ad.linear(p["x"], p["w"], p["b"]), tape.leaf(r)))
 
     fd_check(build, params)
 

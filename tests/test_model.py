@@ -1,6 +1,7 @@
 """Twin-encoder model: shapes, determinism, init, gradients, checkpoints."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -205,6 +206,55 @@ def test_encode_matches_loop_oracle(cfg):
         want = encode_loops(params.arrays, modality, images, cfg.patch_size,
                             cfg.depth)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+class _ValueTape(ad.Tape):
+    """A tape that also keeps each node's forward value, in node order."""
+
+    __slots__ = ("values",)
+
+    def __init__(self):
+        super().__init__()
+        self.values = []
+
+    def append(self, op, value, parents, backward_fn):
+        self.values.append(value)
+        return super().append(op, value, parents, backward_fn)
+
+
+@pytest.mark.parametrize(
+    "cfg, counts",
+    [
+        (TINY, {"leaf": 22, "linear": 8, "reshape": 7, "add_bias": 1,
+                "transpose": 1, "bmm": 2, "scale": 1, "softmax": 1,
+                "layer_norm": 2, "add": 2, "gelu": 1, "mean_axis": 1}),
+        (dataclasses.replace(TINY, patch_size=2, embed_dim=6, depth=2),
+         {"leaf": 38, "linear": 14, "reshape": 11, "add_bias": 1,
+          "transpose": 2, "bmm": 4, "scale": 2, "softmax": 2,
+          "layer_norm": 4, "add": 4, "gelu": 2, "mean_axis": 1}),
+    ],
+    ids=["tiny", "depth2"],
+)
+def test_encode_project_tape(cfg, counts):
+    # per block: 16 parameter leaves; q/k/v/o and the two MLP layers are
+    # one linear node each; q/k/v and the attention context are reshaped.
+    # Around the blocks: the pixel, patch and position leaves, the patch
+    # linear, the position add_bias, three reshapes, the pool, and the
+    # projection's two leaves and linear.
+    view = ParamView(_ValueTape(), model.init_params(cfg, seed=3))
+    images = rand_images(np.random.default_rng(3), 2, cfg.image_size)
+    model.project(view, cfg, model.encode(view, cfg, images, "fundus"), "fundus")
+    tape = view.tape
+    kinds = [
+        "leaf" if node.backward_fn is None else node.op for node in tape.nodes
+    ]
+    assert Counter(kinds) == counts
+    for node, value in zip(tape.nodes, tape.values):
+        if node.op == "add_bias":
+            assert all(tape.nodes[p].op != "matmul" for p in node.parents)
+        if node.op in ("reshape", "transpose"):
+            # these two are recorded unchecked, which is sound for views only
+            assert np.shares_memory(value, tape.values[node.parents[0]])
 
 
 def test_patchify_layout():
@@ -482,5 +532,5 @@ def test_no_backward_rule_captures_a_tensor():
         ops.add(node.op)
         for cell in node.backward_fn.__closure__ or ():
             assert not isinstance(cell.cell_contents, ad.Tensor), node.op
-    assert {"add", "sub", "layer_norm", "gelu", "transposed_conv2d"} <= ops
+    assert {"add", "sub", "linear", "layer_norm", "gelu", "transposed_conv2d"} <= ops
     assert np.isfinite(loss.item())
