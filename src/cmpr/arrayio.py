@@ -5,8 +5,9 @@ length, a UTF-8 JSON header ``{"manifest": {...}, "arrays": [{name, shape,
 dtype}, ...]}``, then each array's raw little-endian float64 values,
 row-major, concatenated in listed order.
 
-Writers replace the target in one step (temp file, then ``os.replace``),
-so a crash mid-write leaves the previous file intact.  They do not fsync.
+Writers replace the target in one step (temp file, fsync, then
+``os.replace``, then an fsync of the directory), so a crash or power loss
+mid-write leaves the previous file intact.
 Readers validate the envelope and the header against the file size before
 allocating, then read each array straight into its own fresh buffer.
 """
@@ -36,7 +37,7 @@ def write_bundle(
     path: str | Path, manifest: dict, arrays: "OrderedDict[str, np.ndarray]"
 ) -> None:
     """Write ``manifest`` and the named ``arrays`` (stored float64) to a temp
-    file beside ``path``, then move it over ``path``."""
+    file beside ``path``, sync it to disk, then move it over ``path``."""
     # not ascontiguousarray, which gives a 0-d array shape (1,)
     values = [np.asarray(arr, dtype=_F64, order="C") for arr in arrays.values()]
     entries = [
@@ -53,9 +54,17 @@ def write_bundle(
             fh.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header)
             for arr in values:
                 fh.write(memoryview(arr.reshape(-1)))
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    # the rename itself is durable only once the directory entry is
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def read_bundle(path: str | Path) -> tuple[dict, "OrderedDict[str, np.ndarray]"]:

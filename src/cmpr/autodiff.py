@@ -2,11 +2,13 @@
 
 Only the operations the model and losses actually need are implemented;
 this is not a general autodiff framework.  Broadcasting is deliberately
-restricted to scalar<->array and equal shapes (plus the dedicated
-``add_bias`` op for trailing-shape biases).  Every op that computes new
-values checks them for NaN/Inf and raises instead of propagating garbage;
-the view ops (``reshape``, ``transpose``) do not, because their value is a
-view of an input that was checked when it was recorded.
+narrow: ``add`` and ``sub`` take two Tensors of equal shape; ``mul`` also
+takes a Python scalar or a 0-d Tensor; ``matmul`` batches over one shared
+leading dimension; and ``add_bias`` adds a bias shaped like the trailing
+dims.  Every op that computes new values checks them for NaN/Inf and
+raises instead of propagating garbage.  The shape ops (``reshape``,
+``transpose``) do not: their value is a view of a checked input, or, when
+``reshape`` has to copy a transposed value, a copy of checked values.
 
 A ``Tape`` records nodes in execution order, so topological order holds by
 construction; ``backward`` walks the node list once, in reverse.
@@ -156,11 +158,12 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
 
 def _same_tape(*ts: Tensor) -> Tape:
-    tape = ts[0].tape
-    for t in ts[1:]:
-        if t.tape is not tape:
+    for t in ts:
+        if not isinstance(t, Tensor):
+            raise ContractError(f"expected a Tensor operand, got {type(t).__name__}")
+        if t.tape is not ts[0].tape:
             raise ContractError("tensors belong to different tapes")
-    return tape
+    return ts[0].tape
 
 
 def backward(tape: Tape, root: Tensor) -> Gradients:
@@ -197,54 +200,23 @@ def backward(tape: Tape, root: Tensor) -> Gradients:
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops (scalar<->array and equal-shape broadcasting only)
+# elementwise ops
 # ---------------------------------------------------------------------------
 
 
-def _binary_shapes_ok(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape or a.ndim == 0 or b.ndim == 0
-
-
-def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        if not isinstance(b, Scalar):
-            raise ContractError(f"cannot add {type(b).__name__} to Tensor")
-        out = a.value + float(b)
-        return a.tape.record("add", out, (a.index,), lambda g: (g,))
+def add(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
-    if not _binary_shapes_ok(a.value, b.value):
+    if a.shape != b.shape:
         raise DimensionError(f"add shapes {a.shape} vs {b.shape}")
-    out = a.value + b.value
-    # flags, not the Tensors: the rule needs no input value
-    a_arr, b_arr = a.value.ndim > 0, b.value.ndim > 0
-
-    def bwd(g):
-        ga = g if a_arr else np.sum(g)
-        gb = g if b_arr else np.sum(g)
-        return ga, gb
-
-    return tape.record("add", out, (a.index, b.index), bwd)
+    # the rule needs no input value, so it captures none
+    return tape.record("add", a.value + b.value, (a.index, b.index), lambda g: (g, g))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        if not isinstance(b, Scalar):
-            raise ContractError(f"cannot subtract {type(b).__name__} from Tensor")
-        out = a.value - float(b)
-        return a.tape.record("sub", out, (a.index,), lambda g: (g,))
+def sub(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
-    if not _binary_shapes_ok(a.value, b.value):
+    if a.shape != b.shape:
         raise DimensionError(f"sub shapes {a.shape} vs {b.shape}")
-    out = a.value - b.value
-    # flags, not the Tensors: the rule needs no input value
-    a_arr, b_arr = a.value.ndim > 0, b.value.ndim > 0
-
-    def bwd(g):
-        ga = g if a_arr else np.sum(g)
-        gb = -g if b_arr else -np.sum(g)
-        return ga, gb
-
-    return tape.record("sub", out, (a.index, b.index), bwd)
+    return tape.record("sub", a.value - b.value, (a.index, b.index), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -255,7 +227,7 @@ def mul(a: Tensor, b) -> Tensor:
         out = a.value * s
         return a.tape.record("scale", out, (a.index,), lambda g: (g * s,))
     tape = _same_tape(a, b)
-    if not _binary_shapes_ok(a.value, b.value):
+    if a.shape != b.shape and a.value.ndim and b.value.ndim:
         raise DimensionError(f"mul shapes {a.shape} vs {b.shape}")
     out = a.value * b.value
     av, bv = a.value, b.value
@@ -296,8 +268,9 @@ def gelu(a: Tensor) -> Tensor:
     # x*x*x, not x**3: numpy sends a float power of 3 through libm pow.
     # asarray because x*x on a 0-d x is a numpy scalar, which has no buffer
     # for the in-place updates below.
-    t = np.asarray(x * x)
-    t *= x
+    with np.errstate(over="ignore"):  # tanh saturates an infinite cubic
+        t = np.asarray(x * x)
+        t *= x
     t *= _GELU_A
     t += x
     t *= _GELU_C
@@ -331,18 +304,20 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for two 2-D operands, or two 3-D operands batched over a
+    shared leading dimension: (B, M, K) @ (B, K, N)."""
     tape = _same_tape(a, b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
+    if a.value.ndim not in (2, 3) or b.value.ndim != a.value.ndim:
         raise DimensionError(
-            f"matmul expects 2-D operands, got {a.shape} and {b.shape}"
+            f"matmul expects two 2-D or two 3-D operands, got {a.shape} and {b.shape}"
         )
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dims {a.shape} vs {b.shape}")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul shapes {a.shape} vs {b.shape}")
     av, bv = a.value, b.value
     out = av @ bv
 
     def bwd(g):
-        return g @ bv.T, av.T @ g
+        return g @ bv.swapaxes(-1, -2), av.swapaxes(-1, -2) @ g
 
     return tape.record("matmul", out, (a.index, b.index), bwd)
 
@@ -371,22 +346,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return g @ wv.T, xv.T @ g, g.sum(axis=0)
 
     return tape.record("linear", out, (x.index, w.index, b.index), bwd)
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul over matching leading dimension: (B,M,K)@(B,K,N)."""
-    tape = _same_tape(a, b)
-    if a.value.ndim != 3 or b.value.ndim != 3:
-        raise DimensionError(f"bmm expects 3-D operands, got {a.shape}, {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise DimensionError(f"bmm shapes {a.shape} vs {b.shape}")
-    av, bv = a.value, b.value
-    out = av @ bv
-
-    def bwd(g):
-        return g @ bv.transpose(0, 2, 1), av.transpose(0, 2, 1) @ g
-
-    return tape.record("bmm", out, (a.index, b.index), bwd)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -496,9 +455,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm affine params must have shape ({d},), "
             f"got {gamma.shape} and {beta.shape}"
         )
-    mu = x.value.mean(axis=-1, keepdims=True)
-    xhat = x.value - mu
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
+        mu = x.value.mean(axis=-1, keepdims=True)
+        xhat = x.value - mu
+        var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    _check_finite(var, "layer_norm")
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     gv = gamma.value
@@ -539,67 +500,6 @@ def mean_all(x: Tensor) -> Tensor:
         return (np.broadcast_to(g / n, shape).copy(),)
 
     return x.tape.record("mean_all", out, (x.index,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# transposed convolution
-# ---------------------------------------------------------------------------
-
-
-def _deconv_check(x: np.ndarray, k: np.ndarray, stride: int) -> tuple[int, int]:
-    if k.ndim != 4 or k.shape[2] != k.shape[3]:
-        raise DimensionError(f"kernel must be CxC'xkxk, got {k.shape}")
-    if x.shape[1] != k.shape[0]:
-        raise DimensionError(
-            f"input channels {x.shape[1]} != kernel in-channels {k.shape[0]}"
-        )
-    if stride < 1:
-        raise DimensionError(f"stride must be >= 1, got {stride}")
-    kh = k.shape[2]
-    h, w = x.shape[2], x.shape[3]
-    return (h - 1) * stride + kh, (w - 1) * stride + kh
-
-
-def transposed_conv2d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
-    """Fractionally-strided convolution.
-
-    The input is a batch (N, C, H, W), the kernel (C, C', k, k), and the
-    output (N, C', (H-1)*stride + k, (W-1)*stride + k).
-    """
-    tape = _same_tape(x, kernel)
-    xv = x.value
-    if xv.ndim != 4:
-        raise DimensionError(f"input must be (N,C,H,W), got {x.shape}")
-    kv = kernel.value
-    ho, wo = _deconv_check(xv, kv, stride)
-    n, c, h, w = xv.shape
-    co, kh = kv.shape[1], kv.shape[2]
-
-    # tensordot runs on BLAS; einsum without optimize= does not
-    t = np.tensordot(xv, kv, axes=([1], [0]))  # (n, h, w, co, k, k)
-    out = np.zeros((n, co, ho, wo), dtype=np.float64)
-    for di in range(kh):
-        for dj in range(kh):
-            out[:, :, di : di + (h - 1) * stride + 1 : stride,
-                dj : dj + (w - 1) * stride + 1 : stride] += (
-                t[:, :, :, :, di, dj].transpose(0, 3, 1, 2))
-
-    def bwd(g):
-        dx = np.zeros_like(xv)
-        dk = np.zeros_like(kv)
-        for di in range(kh):
-            for dj in range(kh):
-                gsub = g[:, :, di : di + (h - 1) * stride + 1 : stride,
-                         dj : dj + (w - 1) * stride + 1 : stride]
-                dx += np.tensordot(
-                    gsub, kv[:, :, di, dj], axes=([1], [1])
-                ).transpose(0, 3, 1, 2)
-                dk[:, :, di, dj] = np.tensordot(
-                    xv, gsub, axes=([0, 2, 3], [0, 2, 3])
-                )
-        return dx, dk
-
-    return tape.record("transposed_conv2d", out, (x.index, kernel.index), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Per modality: a small pre-norm vision transformer (patch embedding +
 learned positions, single-head self-attention blocks on the flat (N*T, D)
 token matrix, mean-pooled tokens), a linear projection head for the
 contrastive space, a 2-layer GELU MLP for measure prediction, and a
-transposed-convolution decoder for reconstruction.
+decoder for reconstruction: a linear seed feature map, then transposed
+convolutions with kernel 2 and stride 2, each built as a matmul and a
+pixel shuffle, with GELU between them.
 
 The prediction and decoding heads read the pre-projection encoder
 embedding, which preserves more information than the projection.
@@ -241,8 +243,8 @@ def _attention(view: ParamView, prefix: str, x: Tensor, n: int) -> Tensor:
         return ad.reshape(_linear(view, x, prefix, tag), (n, t, d))
 
     q, k, v = project("q"), project("k"), project("v")
-    scores = ad.mul(ad.bmm(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d))
-    ctx = ad.reshape(ad.bmm(ad.softmax(scores), v), (n * t, d))
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d))
+    ctx = ad.reshape(ad.matmul(ad.softmax(scores), v), (n * t, d))
     return _linear(view, ctx, prefix, "o")
 
 
@@ -294,10 +296,25 @@ def predict_measures(
     return _mlp(view, f"{modality}.pred", emb)
 
 
+def _upsample2x(x: Tensor, kernel: Tensor) -> Tensor:
+    """Transposed convolution with kernel 2 and stride 2.
+
+    Its taps do not overlap, so the layer maps each input pixel's C channels
+    to a 2x2 block of C' channels: one matmul over the pixel rows, then a
+    depth-to-space shuffle, (N, C, H, W) -> (N, C', 2H, 2W).
+    """
+    n, c, h, w = x.shape
+    co = kernel.shape[1]
+    rows = ad.reshape(ad.transpose(x, (0, 2, 3, 1)), (n * h * w, c))
+    blocks = ad.matmul(rows, ad.reshape(kernel, (c, co * 4)))
+    blocks = ad.transpose(ad.reshape(blocks, (n, h, w, co, 2, 2)), (0, 3, 1, 4, 2, 5))
+    return ad.reshape(blocks, (n, co, 2 * h, 2 * w))
+
+
 def decode(
     view: ParamView, config: EncoderConfig, emb: Tensor, modality: str
 ) -> Tensor:
-    """Embedding -> seed feature map -> stride-2 deconv stack -> image."""
+    """Embedding -> seed feature map -> stride-2 upsampling stack -> image."""
     if emb.shape[-1] != config.embed_dim:
         raise DimensionError(
             f"decoder expects width {config.embed_dim}, got {emb.shape}"
@@ -309,7 +326,7 @@ def decode(
     x = ad.reshape(seed, (n, c0, hw, hw))
     chain = config.decoder_chain
     for i in range(len(chain) - 1):
-        x = ad.transposed_conv2d(x, view[f"{modality}.dec.conv{i}.k"], stride=2)
+        x = _upsample2x(x, view[f"{modality}.dec.conv{i}.k"])
         if i < len(chain) - 2:
             x = ad.gelu(x)
     return x

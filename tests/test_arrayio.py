@@ -1,5 +1,7 @@
 """CMPR container round trips and format details."""
 
+import os
+import stat
 import struct
 from collections import OrderedDict
 
@@ -127,6 +129,27 @@ def test_interrupted_write_keeps_previous_file(tmp_path, torn_writes):
         write(rng.standard_normal(1000))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["x.cmpr"]
+
+
+def test_write_syncs_file_then_renames_then_syncs_directory(tmp_path, monkeypatch):
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync dir",) if stat.S_ISDIR(st.st_mode) else ("fsync file", st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace",))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    path = tmp_path / "x.cmpr"
+    arrayio.write_bundle(path, {"step": 1}, OrderedDict([("w", np.ones(100))]))
+    # the whole file has reached the OS before its fsync
+    assert calls == [("fsync file", path.stat().st_size), ("replace",), ("fsync dir",)]
 
 
 # ---------------------------------------------------------------------------

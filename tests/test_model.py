@@ -1,6 +1,7 @@
 """Twin-encoder model: shapes, determinism, init, gradients, checkpoints."""
 
 import dataclasses
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,14 @@ from cmpr import losses, model
 from cmpr.errors import ConfigError, ContractError, DimensionError, FormatError
 from cmpr.model import EncoderConfig, ParamView
 
-from oracles import assert_grads_close, encode_loops, expected_param_count
+from oracles import (
+    assert_grads_close,
+    encode_loops,
+    expected_param_count,
+    gelu_tanh_elementwise,
+    sum_all,
+    transposed_conv2d_direct,
+)
 
 
 TINY = EncoderConfig(
@@ -226,11 +234,11 @@ class _ValueTape(ad.Tape):
     "cfg, counts",
     [
         (TINY, {"leaf": 22, "linear": 8, "reshape": 7, "add_bias": 1,
-                "transpose": 1, "bmm": 2, "scale": 1, "softmax": 1,
+                "transpose": 1, "matmul": 2, "scale": 1, "softmax": 1,
                 "layer_norm": 2, "add": 2, "gelu": 1, "mean_axis": 1}),
         (dataclasses.replace(TINY, patch_size=2, embed_dim=6, depth=2),
          {"leaf": 38, "linear": 14, "reshape": 11, "add_bias": 1,
-          "transpose": 2, "bmm": 4, "scale": 2, "softmax": 2,
+          "transpose": 2, "matmul": 4, "scale": 2, "softmax": 2,
           "layer_norm": 4, "add": 4, "gelu": 2, "mean_axis": 1}),
     ],
     ids=["tiny", "depth2"],
@@ -333,6 +341,62 @@ def test_decode_zero_embedding_zero_params_gives_zero_image():
     emb = view.tape.leaf(np.zeros((2, 8)))
     out = model.decode(view, TINY, emb, "fundus")
     np.testing.assert_array_equal(out.value, 0.0)
+
+
+def _random_decoder(cfg, seed):
+    """Parameters with every decoder weight and bias random, so the seed
+    bias and every kernel tap reach the output."""
+    rng = np.random.default_rng(seed)
+    params = model.init_params(cfg, seed=seed)
+    for name, arr in params.arrays.items():
+        if ".dec." in name:
+            params.arrays[name] = rng.normal(0.0, 0.5, size=arr.shape)
+    return params, rng.standard_normal((2, cfg.embed_dim))
+
+
+TWO_LAYER = dataclasses.replace(TINY, decoder_channels=[4, 2])
+
+
+@pytest.mark.parametrize("cfg", [TINY, EncoderConfig()], ids=["tiny", "default"])
+def test_decode_matches_direct_transposed_convolution(cfg):
+    params, emb = _random_decoder(cfg, seed=16)
+    view = make_view(params)
+    got = model.decode(view, cfg, view.tape.leaf(emb), "carotid").value
+    p = {k[len("carotid.dec."):]: v for k, v in params.subset("carotid.dec.").items()}
+    hw, chain = cfg.decoder_seed_hw, cfg.decoder_chain
+    want = []
+    for e in emb:
+        x = (e @ p["seed.w"] + p["seed.b"]).reshape(chain[0], hw, hw)
+        for i in range(len(chain) - 1):
+            x = transposed_conv2d_direct(x, p[f"conv{i}.k"], stride=2)
+            if i < len(chain) - 2:
+                x, _ = gelu_tanh_elementwise(x)
+        want.append(x)
+    np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("cfg", [TINY, TWO_LAYER], ids=["tiny", "two_layer"])
+def test_decode_gradients_match_fd(cfg):
+    params, emb = _random_decoder(cfg, seed=17)
+    r = np.random.default_rng(18).standard_normal(
+        (2, 3, cfg.image_size, cfg.image_size)
+    )
+    # the embedding rides along as one more named leaf of the view
+    probed = {k: v for k, v in params.arrays.items() if k.startswith("fundus.dec.")}
+    probed["emb"] = emb
+
+    def run(p):
+        view = make_view(model.ModelParams({**params.arrays, **p}))
+        out = model.decode(view, cfg, view["emb"], "fundus")
+        return view, sum_all(ad.mul(out, view.tape.leaf(r)))
+
+    view, loss = run(probed)
+    grads = ad.backward(view.tape, loss)
+    analytic = {k: grads.of(view[k]) for k in probed}
+    numeric = ad.finite_difference_gradient(
+        lambda p: run(p)[1].item(), probed, h=1e-5, adaptive=True
+    )
+    assert_grads_close(analytic, numeric)
 
 
 def test_decode_overfit_smoke_reduces_mse():
@@ -532,5 +596,11 @@ def test_no_backward_rule_captures_a_tensor():
         ops.add(node.op)
         for cell in node.backward_fn.__closure__ or ():
             assert not isinstance(cell.cell_contents, ad.Tensor), node.op
-    assert {"add", "sub", "linear", "layer_norm", "gelu", "transposed_conv2d"} <= ops
+    # every public op is recorded here, so every rule is checked above, and
+    # an op that no model or loss path calls shows up as missing
+    public_ops = {
+        name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+        if fn.__module__ == ad.__name__ and not name.startswith("_")
+    }
+    assert public_ops - {"backward", "finite_difference_gradient"} <= ops
     assert np.isfinite(loss.item())
