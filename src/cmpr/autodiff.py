@@ -11,7 +11,22 @@ raises instead of propagating garbage.  The shape ops (``reshape``,
 ``reshape`` has to copy a transposed value, a copy of checked values.
 
 A ``Tape`` records nodes in execution order, so topological order holds by
-construction; ``backward`` walks the node list once, in reverse.
+construction; ``backward`` walks the node list once, in reverse.  It runs
+the backward rules with numpy's floating-point warnings off and checks
+each leaf gradient once at the end, so a gradient that overflowed raises
+``NonFiniteError`` naming the leaf; interior gradients go unchecked.
+
+Three outputs are not kept for ``linear``'s weight gradient but rebuilt
+when its rule runs (``Tensor.rebuild``): ``layer_norm`` recomputes
+``xhat * gamma + beta`` from its normalized input ``xhat`` and its
+parameters, ``gelu`` recomputes ``0.5 * x * (1 + t)`` from its input ``x``
+and tanh term ``t``, and the 3-D ``matmul`` recomputes ``a @ b`` from its
+operands; ``reshape`` passes a rebuild on.  The producer's own backward
+rule keeps those arrays anyway, and its forward value comes from the same
+expression, so a rebuild is bitwise equal to the forward value.
+``linear`` is the only op that consumes a rebuild; every other op keeps
+what it reads, and costlier outputs (the q/k/v projections, gelu's tanh)
+are kept, not recomputed.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ from .errors import (
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+_GELU_X_SAT = 1e150  # gelu's backward clips x to this before squaring it
 
 Scalar = (int, float)
 
@@ -59,15 +75,27 @@ class Tensor:
     """A float64 array recorded on a tape.
 
     Tensors are immutable views into the tape: they pair a node index with
-    the forward value computed for that node.
+    the forward value computed for that node.  ``rebuild``, when not None,
+    is a zero-argument function that returns an array bitwise equal to
+    ``value`` from arrays the producing op's backward rule holds anyway;
+    ``linear`` keeps it in place of ``value``, so ``value`` is freed with
+    the Tensor.  ``layer_norm``, ``gelu`` and the 3-D ``matmul`` set it,
+    and ``reshape`` passes it on.
     """
 
-    __slots__ = ("tape", "index", "value")
+    __slots__ = ("tape", "index", "value", "rebuild")
 
-    def __init__(self, tape: "Tape", index: int, value: np.ndarray):
+    def __init__(
+        self,
+        tape: "Tape",
+        index: int,
+        value: np.ndarray,
+        rebuild: Callable[[], np.ndarray] | None = None,
+    ):
         self.tape = tape
         self.index = index
         self.value = value
+        self.rebuild = rebuild
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -99,10 +127,11 @@ class Tape:
         value: np.ndarray,
         parents: tuple[int, ...],
         backward_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+        rebuild: Callable[[], np.ndarray] | None = None,
     ) -> Tensor:
         value = np.asarray(value, dtype=np.float64)
         _check_finite(value, op)
-        return self.append(op, value, parents, backward_fn)
+        return self.append(op, value, parents, backward_fn, rebuild)
 
     def append(
         self,
@@ -110,11 +139,12 @@ class Tape:
         value: np.ndarray,
         parents: tuple[int, ...],
         backward_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None,
+        rebuild: Callable[[], np.ndarray] | None = None,
     ) -> Tensor:
         """Record ``value`` unchecked: only for a float64 view of a value
         this tape already checked."""
         self.nodes.append(Node(op, parents, backward_fn))
-        return Tensor(self, len(self.nodes) - 1, value)
+        return Tensor(self, len(self.nodes) - 1, value, rebuild)
 
 
 class Gradients:
@@ -174,6 +204,8 @@ def backward(tape: Tape, root: Tensor) -> Gradients:
     An interior node's gradient is dropped as soon as its rule has run, so
     at most one frontier of gradients is alive at a time.  The tape itself
     is left intact: a second ``backward`` on it gives the same result.
+    Raises ``NonFiniteError`` naming the first leaf whose gradient is not
+    finite.
     """
     if root.tape is not tape:
         raise ContractError("root tensor was not recorded on this tape")
@@ -183,19 +215,24 @@ def backward(tape: Tape, root: Tensor) -> Gradients:
         )
     grads: list[np.ndarray | None] = [None] * len(tape.nodes)
     grads[root.index] = np.ones((), dtype=np.float64)
-    for i in range(root.index, -1, -1):
-        g = grads[i]
-        if g is None:
-            continue
-        node = tape.nodes[i]
-        if node.backward_fn is None:
-            continue
-        grads[i] = None
-        for pidx, pg in zip(node.parents, node.backward_fn(g)):
-            if grads[pidx] is None:
-                grads[pidx] = pg
-            else:
-                grads[pidx] = grads[pidx] + pg
+    with np.errstate(all="ignore"):  # surfaces at the leaf check below
+        for i in range(root.index, -1, -1):
+            g = grads[i]
+            if g is None:
+                continue
+            node = tape.nodes[i]
+            if node.backward_fn is None:
+                continue
+            grads[i] = None
+            for pidx, pg in zip(node.parents, node.backward_fn(g)):
+                if grads[pidx] is None:
+                    grads[pidx] = pg
+                else:
+                    grads[pidx] = grads[pidx] + pg
+    # every interior gradient was dropped above, so what is left is a leaf's
+    for node, g in zip(tape.nodes, grads):
+        if g is not None and not np.all(np.isfinite(g)):
+            raise NonFiniteError(f"non-finite gradient reached leaf '{node.op}'")
     return Gradients(tape, grads)
 
 
@@ -208,15 +245,19 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
     if a.shape != b.shape:
         raise DimensionError(f"add shapes {a.shape} vs {b.shape}")
+    with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
+        out = a.value + b.value
     # the rule needs no input value, so it captures none
-    return tape.record("add", a.value + b.value, (a.index, b.index), lambda g: (g, g))
+    return tape.record("add", out, (a.index, b.index), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
     if a.shape != b.shape:
         raise DimensionError(f"sub shapes {a.shape} vs {b.shape}")
-    return tape.record("sub", a.value - b.value, (a.index, b.index), lambda g: (g, -g))
+    with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
+        out = a.value - b.value
+    return tape.record("sub", out, (a.index, b.index), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -224,12 +265,14 @@ def mul(a: Tensor, b) -> Tensor:
         if not isinstance(b, Scalar):
             raise ContractError(f"cannot multiply Tensor by {type(b).__name__}")
         s = float(b)
-        out = a.value * s
+        with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
+            out = a.value * s
         return a.tape.record("scale", out, (a.index,), lambda g: (g * s,))
     tape = _same_tape(a, b)
     if a.shape != b.shape and a.value.ndim and b.value.ndim:
         raise DimensionError(f"mul shapes {a.shape} vs {b.shape}")
-    out = a.value * b.value
+    with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
+        out = a.value * b.value
     av, bv = a.value, b.value
 
     def bwd(g):
@@ -275,16 +318,23 @@ def gelu(a: Tensor) -> Tensor:
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = 1.0 + t
-    out *= x
-    out *= 0.5
+
+    def rebuild():
+        out = 1.0 + t
+        out *= x
+        out *= 0.5
+        return out
 
     def bwd(g):
         # 0.5*(1 + t) + 0.5*x*(1 - t^2)*C*(1 + 3*A*x^2), built in two buffers
         s = np.asarray(t * t)
         np.subtract(1.0, s, out=s)
         s *= x
-        d = np.asarray(x * x)
+        # tanh is exactly +-1 long before |x| reaches _GELU_X_SAT, so there
+        # s is 0 and clipping x changes nothing; an x^2 that overflowed
+        # would turn the saturated slope 1 (or 0) into Inf * 0 = NaN
+        d = np.asarray(np.clip(x, -_GELU_X_SAT, _GELU_X_SAT))
+        d *= d
         d *= 3.0 * _GELU_A
         d += 1.0
         d *= _GELU_C
@@ -295,7 +345,7 @@ def gelu(a: Tensor) -> Tensor:
         d *= g
         return (d,)
 
-    return a.tape.record("gelu", out, (a.index,), bwd)
+    return a.tape.record("gelu", rebuild(), (a.index,), bwd, rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +364,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul shapes {a.shape} vs {b.shape}")
     av, bv = a.value, b.value
-    out = av @ bv
+    with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFiniteError
+        out = av @ bv
 
     def bwd(g):
         return g @ bv.swapaxes(-1, -2), av.swapaxes(-1, -2) @ g
 
-    return tape.record("matmul", out, (a.index, b.index), bwd)
+    # only the batched form: attention's context is the one a linear reads
+    rebuild = (lambda: av @ bv) if av.ndim == 3 else None
+    return tape.record("matmul", out, (a.index, b.index), bwd, rebuild)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -339,11 +392,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (w.shape[1],):
         raise DimensionError(f"linear bias shape {b.shape} for weight {w.shape}")
     xv, wv = x.value, w.value
-    out = xv @ wv
-    out += b.value
+    with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFiniteError
+        out = xv @ wv
+        out += b.value
+    # a rebuildable x is read again only here, for dW, and not kept alive
+    x_again = x.rebuild or (lambda: xv)
 
     def bwd(g):
-        return g @ wv.T, xv.T @ g, g.sum(axis=0)
+        return g @ wv.T, x_again().T @ g, g.sum(axis=0)
 
     return tape.record("linear", out, (x.index, w.index, b.index), bwd)
 
@@ -363,7 +419,11 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
     orig = a.value.shape
     out = a.value.reshape(shape)
-    return a.tape.append("reshape", out, (a.index,), lambda g: (g.reshape(orig),))
+    base = a.rebuild
+    rebuild = None if base is None else (lambda: base().reshape(shape))
+    return a.tape.append(
+        "reshape", out, (a.index,), lambda g: (g.reshape(orig),), rebuild
+    )
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -462,9 +522,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     _check_finite(var, "layer_norm")
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    gv = gamma.value
-    out = xhat * gv
-    out += beta.value
+    gv, bv = gamma.value, beta.value
+
+    def rebuild():
+        out = xhat * gv
+        out += bv
+        return out
+
     lead = tuple(range(x.value.ndim - 1))
 
     def bwd(g):
@@ -478,7 +542,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dx *= inv
         return dx, dgamma, dbeta
 
-    return tape.record("layer_norm", out, (x.index, gamma.index, beta.index), bwd)
+    return tape.record(
+        "layer_norm", rebuild(), (x.index, gamma.index, beta.index), bwd, rebuild
+    )
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:

@@ -166,13 +166,31 @@ def test_linear_shape_errors(x_shape, w_shape, b_shape):
 
 
 def test_linear_overflow_raises_nonfinite():
+    # under the suite's filterwarnings = error, numpy's overflow warning
+    # would escape first unless the op silences it
     tape = ad.Tape()
     x = tape.leaf([[1e200, 1e200]])
     w = tape.leaf([[1e200], [1.0]])
-    # numpy's overflow warning is silenced so that the op's own check is
-    # what must catch the Inf
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="'linear'"):
+    with pytest.raises(NonFiniteError, match="'linear'"):
         ad.linear(x, w, tape.leaf([0.0]))
+
+
+@pytest.mark.parametrize(
+    "name, op, inputs",
+    [
+        ("matmul", ad.matmul, ([[1e200, -1e200]], [[1e200], [1e200]])),
+        ("add", ad.add, ([1e308, 1.0], [1e308, 1.0])),
+        ("sub", ad.sub, ([1e308, 1.0], [-1e308, 1.0])),
+        ("mul", ad.mul, ([1e200, 1.0], [1e200, 1.0])),
+        ("scale", lambda a: ad.mul(a, 1e200), ([1e200, 1.0],)),
+    ],
+    ids=["matmul", "add", "sub", "mul", "scale"],
+)
+def test_overflowing_output_raises_nonfinite(name, op, inputs):
+    # as linear above; matmul's Inf - Inf is numpy's "invalid" warning
+    tape = ad.Tape()
+    with pytest.raises(NonFiniteError, match=f"'{name}'"):
+        op(*[tape.leaf(v) for v in inputs])
 
 
 @pytest.mark.parametrize(
@@ -269,6 +287,17 @@ def test_gelu_matches_elementwise_oracle():
         np.testing.assert_allclose(dx, g * slope, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("magnitude", [1e155, 1e200, 1e300])
+@pytest.mark.parametrize("sign, slope", [(1.0, 1.0), (-1.0, 0.0)], ids=["pos", "neg"])
+def test_gelu_slope_is_exact_where_x_squared_overflows(magnitude, sign, slope):
+    # past |x| ~ 1.3e154, x*x overflows; tanh has long saturated there, so
+    # the slope is exactly 1 (or 0), never Inf * 0 = NaN or a RuntimeWarning
+    x = np.array([sign * magnitude, 3.0])
+    _, (dx,) = _forward_backward(ad.gelu, (x,), np.ones(2))
+    assert dx[0] == slope
+    np.testing.assert_allclose(dx[1], gelu_tanh_elementwise(x[1:])[1][0], rtol=1e-12)
+
+
 def test_layer_norm_matches_row_oracle():
     rng = np.random.default_rng(31)
     d = GRID.size
@@ -303,19 +332,65 @@ def test_gelu_and_layer_norm_leave_inputs_intact():
 
 
 def test_second_backward_is_bitwise_equal():
-    # a backward rule that wrote into an array its closure captured would
-    # change the second pass
+    # a backward rule that wrote into an array its closure captured, or
+    # into one a rebuild reads, would change the second pass; linear
+    # rebuilds its layer_norm, gelu and 3-D matmul inputs
     rng = np.random.default_rng(33)
     tape = ad.Tape()
-    x = tape.leaf(rng.standard_normal((2, 3, 6)), name="x")
-    gamma = tape.leaf(rng.standard_normal(6) + 1.0, name="gamma")
-    beta = tape.leaf(rng.standard_normal(6), name="beta")
-    h = ad.gelu(ad.layer_norm(x, gamma, beta))
-    loss = sum_all(ad.mul(h, tape.leaf(rng.standard_normal((2, 3, 6)))))
+    names = ["x", "gamma", "beta", "w", "b", "a"]
+    shapes = [(2, 3, 6), (6,), (6,), (6, 6), (6,), (2, 6, 6)]
+    x, gamma, beta, w, b, a = (
+        tape.leaf(rng.standard_normal(s), name=n) for n, s in zip(names, shapes)
+    )
+    normed = ad.reshape(ad.layer_norm(x, gamma, beta), (6, 6))
+    hdn = ad.gelu(ad.linear(normed, w, b))
+    ctx = ad.reshape(ad.matmul(ad.reshape(hdn, (2, 3, 6)), a), (6, 6))
+    out = ad.add(ad.linear(hdn, w, b), ad.linear(ctx, w, b))
+    loss = sum_all(ad.mul(out, tape.leaf(rng.standard_normal((6, 6)))))
     first = ad.backward(tape, loss)
     second = ad.backward(tape, loss)
-    for t in (x, gamma, beta):
+    for t in (x, gamma, beta, w, b, a):
         assert first.of(t).tobytes() == second.of(t).tobytes()
+
+
+# each makes the (6, 4) input of a linear layer
+PRODUCERS = {
+    "layer_norm": lambda tape, rng: ad.layer_norm(
+        tape.leaf(rng.standard_normal((6, 4))),
+        tape.leaf(rng.standard_normal(4) + 1.0),
+        tape.leaf(rng.standard_normal(4)),
+    ),
+    "gelu": lambda tape, rng: ad.gelu(tape.leaf(2.0 * rng.standard_normal((6, 4)))),
+    "matmul_3d": lambda tape, rng: ad.reshape(
+        ad.matmul(tape.leaf(rng.standard_normal((2, 3, 5))),
+                  tape.leaf(rng.standard_normal((2, 5, 4)))),
+        (6, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("produce", PRODUCERS.values(), ids=PRODUCERS.keys())
+def test_linear_rebuilds_its_input_instead_of_keeping_it(produce):
+    # the producer's output is freed with its Tensor while the linear that
+    # read it stays on the tape, and the linear's rule still gives bitwise
+    # what it gives for a leaf holding a copy of that output
+    rng = np.random.default_rng(7)
+    tape = ad.Tape()
+    h = produce(tape, rng)
+    w = tape.leaf(rng.standard_normal((4, 3)))
+    b = tape.leaf(rng.standard_normal(3))
+    y = ad.linear(h, w, b)
+    y_leaf = ad.linear(tape.leaf(h.value.copy()), w, b)
+    outputs = [weakref.ref(v) for v in (h.value, h.value.base) if v is not None]
+    del h
+    gc.collect()
+    assert all(ref() is None for ref in outputs)
+    g = rng.standard_normal((6, 3))
+    got = tape.nodes[y.index].backward_fn(g)
+    want = tape.nodes[y_leaf.index].backward_fn(g)
+    assert y.value.tobytes() == y_leaf.value.tobytes()
+    for dgot, dwant in zip(got, want, strict=True):
+        assert dgot.shape == dwant.shape and dgot.tobytes() == dwant.tobytes()
 
 
 def test_exp_log_round_trip():
@@ -432,6 +507,14 @@ def test_add_sub_do_not_keep_their_inputs_alive(op, sign, b_shape):
     assert a_value() is None
     grads = ad.backward(tape, sum_all(c))
     np.testing.assert_array_equal(grads.of(b), np.full(b_shape, sign))
+
+
+def test_backward_names_the_leaf_whose_gradient_is_not_finite():
+    # log's value is finite at 1e-320, but its rule's 1/x overflows
+    tape = ad.Tape()
+    x = tape.leaf([1e-320, 1.0], name="tiny")
+    with pytest.raises(NonFiniteError, match="'tiny'"):
+        ad.backward(tape, sum_all(ad.log(x)))
 
 
 def test_nonfinite_forward_is_surfaced():
