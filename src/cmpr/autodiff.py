@@ -27,10 +27,26 @@ expression, so a rebuild is bitwise equal to the forward value.
 ``linear`` is the only op that consumes a rebuild; every other op keeps
 what it reads, and costlier outputs (the q/k/v projections, gelu's tanh)
 are kept, not recomputed.
+
+Importing this module sets glibc's heap policy for the process, once.  A
+dropped tape frees hundreds of activation arrays; by default glibc maps
+every array above its dynamic threshold (128 KiB at start) on its own and
+trims the heap's free top, so each training step or validation chunk
+hands its memory back to the OS and faults it in again as fresh zeroed
+pages.  ``M_MMAP_THRESHOLD`` at 32 MiB (the ceiling glibc's dynamic
+threshold stops at) keeps arrays below it on the heap, and
+``M_TRIM_THRESHOLD`` at 1 GiB keeps their freed pages there for the next
+tape to reuse; setting it also stops glibc from moving the mmap threshold.
+Arrays of 32 MiB and more are still mapped and unmapped one by one.  Peak
+RSS is unchanged: the next tape reuses the pages the last one freed.  The
+cost is that the heap is never trimmed, so a process keeps its high-water
+heap until it exits.  Where libc has no ``mallopt`` (macOS, Windows) or
+ignores it (musl), nothing changes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Callable, Sequence
 
@@ -49,6 +65,24 @@ _GELU_A = 0.044715
 _GELU_X_SAT = 1e150  # gelu's backward clips x to this before squaring it
 
 Scalar = (int, float)
+
+_M_TRIM_THRESHOLD = -1  # glibc's mallopt parameter numbers
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed arrays below 32 MiB on the heap for reuse (see above)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_keep_freed_memory()
 
 
 class Node:
@@ -437,7 +471,8 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     if k == 0 or k > x.value.ndim or x.shape[x.value.ndim - k :] != b.shape:
         raise DimensionError(f"bias shape {b.shape} does not trail {x.shape}")
     lead = tuple(range(x.value.ndim - k))
-    out = x.value + b.value
+    with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
+        out = x.value + b.value
 
     def bwd(g):
         return g, g.sum(axis=lead) if lead else g
@@ -468,7 +503,8 @@ def row_logsumexp(x: Tensor) -> Tensor:
     if x.value.ndim != 2:
         raise DimensionError(f"row_logsumexp expects 2-D, got {x.shape}")
     m = np.max(x.value, axis=1, keepdims=True)
-    e = np.exp(x.value - m)
+    with np.errstate(over="ignore"):  # x - m overflows only to -inf; exp gives 0
+        e = np.exp(x.value - m)
     s = np.sum(e, axis=1, keepdims=True)
     out = (m + np.log(s)).reshape(-1)
     soft = e / s
@@ -496,7 +532,8 @@ def take_diagonal(x: Tensor) -> Tensor:
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
     m = np.max(x.value, axis=-1, keepdims=True)
-    e = np.exp(x.value - m)
+    with np.errstate(over="ignore"):  # x - m overflows only to -inf; exp gives 0
+        e = np.exp(x.value - m)
     s = e / np.sum(e, axis=-1, keepdims=True)
 
     def bwd(g):
@@ -547,9 +584,26 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     )
 
 
+def _mean(v: np.ndarray, n: int, axis: int | None = None) -> np.ndarray:
+    """``v.mean(axis)`` over ``n`` values; where the sum overflowed, the mean
+    of ``v`` scaled down by a power of two above ``n``, scaled back up.
+
+    ``v`` is finite, so its mean is too.  Power-of-two scaling is exact
+    (short of subnormals), so the fallback rounds as the plain mean would
+    with an unbounded exponent, and every other entry keeps its bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf
+        out = v.mean(axis=axis)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        scale = 2.0 ** n.bit_length()
+        out = np.where(bad, (v / scale).mean(axis=axis) * scale, out)
+    return out
+
+
 def mean_axis(x: Tensor, axis: int) -> Tensor:
     n = x.shape[axis]
-    out = x.value.mean(axis=axis)
+    out = _mean(x.value, n, axis)
 
     def bwd(g):
         return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
@@ -559,7 +613,7 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
 
 def mean_all(x: Tensor) -> Tensor:
     n = x.value.size
-    out = np.asarray(x.value.mean(), dtype=np.float64)
+    out = _mean(x.value, n)
     shape = x.value.shape
 
     def bwd(g):

@@ -1,7 +1,13 @@
 """Tape engine: forward semantics, backward rules vs finite differences."""
 
+import ctypes
 import gc
+import os
+import platform
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,8 +189,9 @@ def test_linear_overflow_raises_nonfinite():
         ("sub", ad.sub, ([1e308, 1.0], [-1e308, 1.0])),
         ("mul", ad.mul, ([1e200, 1.0], [1e200, 1.0])),
         ("scale", lambda a: ad.mul(a, 1e200), ([1e200, 1.0],)),
+        ("add_bias", ad.add_bias, ([[1e308, 1.0]], [1e308, 0.0])),
     ],
-    ids=["matmul", "add", "sub", "mul", "scale"],
+    ids=["matmul", "add", "sub", "mul", "scale", "add_bias"],
 )
 def test_overflowing_output_raises_nonfinite(name, op, inputs):
     # as linear above; matmul's Inf - Inf is numpy's "invalid" warning
@@ -199,14 +206,23 @@ def test_overflowing_output_raises_nonfinite(name, op, inputs):
         (ad.layer_norm, ([1e200, -1e200, 0.0], np.ones(3), np.full(3, 0.5)),
          NonFiniteError),
         (ad.gelu, ([1e103, -1e103],), np.array([1e103, -0.0])),
+        (lambda x: ad.mean_axis(x, 1), ([[1e308, 1e308], [0.1, 0.2]],),
+         np.array([1e308, np.mean([0.1, 0.2])])),
+        (ad.mean_all, ([1e308, 1e308],), np.array(1e308)),
+        (ad.softmax, ([[1e308, -1e308]],), np.array([[1.0, 0.0]])),
+        (ad.row_logsumexp, ([[1e308, -1e308]],), np.array([1e308])),
     ],
-    ids=["layer_norm_variance", "gelu_cubic"],
+    ids=["layer_norm_variance", "gelu_cubic", "mean_axis_sum", "mean_all_sum",
+         "softmax_shift", "row_logsumexp_shift"],
 )
 def test_overflow_inside_an_op(op, inputs, want):
     # an intermediate that overflows ends in the op's own answer, never in
     # numpy's RuntimeWarning: the op's value where that is finite (tanh
-    # saturates gelu's infinite cubic), else NonFiniteError naming the op
-    # (an infinite variance would scale every entry to zero)
+    # saturates gelu's infinite cubic, a mean is finite though its sum is
+    # not, and x - max(x) overflows only to -inf, whose exp is exactly 0),
+    # else NonFiniteError naming the op (an infinite variance would scale
+    # every entry to zero); the row whose sum did not overflow keeps the
+    # plain mean's bits
     tape = ad.Tape()
     leaves = [tape.leaf(v) for v in inputs]
     if isinstance(want, type):
@@ -550,6 +566,51 @@ def test_tape_topological_order_invariant():
     sum_all(c)
     for idx, node in enumerate(tape.nodes):
         assert all(p < idx for p in node.parents)
+
+
+# ---------------------------------------------------------------------------
+# heap policy
+# ---------------------------------------------------------------------------
+
+# 64 arrays of 1 MiB, freed, twice: prints the second round's minor faults
+_REALLOC_FAULTS = """
+import resource
+import numpy as np
+import cmpr.autodiff
+
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 17) for _ in range(64)]
+    del arrays
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap policy")
+def test_freed_arrays_are_reused_without_faulting():
+    # by default glibc maps each 1 MiB array on its own and unmaps it on
+    # free, so the second round faults in its 16,384 pages afresh
+    src = str(Path(ad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _REALLOC_FAULTS],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert int(out.stdout) < 1000
+
+
+def _no_libc(name):
+    raise OSError("cannot load libc")
+
+
+@pytest.mark.parametrize(
+    "cdll", [_no_libc, lambda name: object()], ids=["cdll_raises", "no_mallopt"]
+)
+def test_heap_policy_is_skipped_without_mallopt(monkeypatch, cdll):
+    # as where libc cannot be loaded (Windows) or has no mallopt (macOS)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    ad._keep_freed_memory()
 
 
 # ---------------------------------------------------------------------------
