@@ -354,9 +354,11 @@ def gelu(a: Tensor) -> Tensor:
     np.tanh(t, out=t)
 
     def rebuild():
+        # halving 1 + t first is exact, and keeps x * (1 + t) from
+        # overflowing where the value itself is finite
         out = 1.0 + t
-        out *= x
         out *= 0.5
+        out *= x
         return out
 
     def bwd(g):
@@ -484,16 +486,29 @@ def row_l2_normalize(x: Tensor) -> Tensor:
     """Scale every row of an N x D matrix to unit Euclidean norm."""
     if x.value.ndim != 2:
         raise DimensionError(f"row_l2_normalize expects 2-D, got {x.shape}")
-    with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
-        norms = np.linalg.norm(x.value, axis=1, keepdims=True)
+    v = x.value
+    with np.errstate(over="ignore"):  # an overflow is rescaled below
+        norms = np.linalg.norm(v, axis=1, keepdims=True)
+    scale = None
+    if np.isinf(norms).any():
+        # a finite row whose sum of squares overflows is normalised scaled
+        # by the power of two that brings its largest entry into [0.5, 1);
+        # the other rows are scaled by 1 and keep their bits
+        _, exponent = np.frexp(np.abs(v).max(axis=1, keepdims=True))
+        scale = np.where(np.isinf(norms), np.ldexp(1.0, -exponent), 1.0)
+        v = v * scale
+        norms = np.linalg.norm(v, axis=1, keepdims=True)
     _check_finite(norms, "row_l2_normalize")
     if np.any(norms == 0.0):
         raise DegenerateInputError("zero-norm row cannot be normalized")
-    y = x.value / norms
+    y = v / norms
 
     def bwd(g):
         dot = np.sum(y * g, axis=1, keepdims=True)
-        return ((g - y * dot) / norms,)
+        dx = (g - y * dot) / norms
+        if scale is not None:  # the row's true norm is norms / scale
+            dx *= scale
+        return (dx,)
 
     return x.tape.record("row_l2_normalize", y, (x.index,), bwd)
 

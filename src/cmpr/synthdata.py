@@ -8,6 +8,26 @@ the visit-1 and visit-2 latents.  Because all modalities share z, an
 oracle matcher exists and every pretraining objective has learnable
 structure.
 
+The random stream defines the cohort.  The feature banks come from the
+generator seeded by (seed, 0); participant ``pid`` draws from its own
+generator seeded by (seed, 1, pid), in this order:
+
+1. ``2 * latent_dim`` standard normals: z at visit t, then the drift that
+   gives z at visit t' as ``z + drift * d``;
+2. three uniforms on [0, 1): a second visit where the first is below
+   ``second_visit_fraction``; diagnosis 1 where the second is below the
+   logistic label probability of z at t; prognosis the same from the third
+   and z at t', kept only where the diagnosis is 0;
+3. per visit, t then t' if there is one: the presence mask as three
+   uniforms (right eye, left eye, carotid; present when at least
+   ``missing_prob``), drawn again until one image is present; then
+   ``3 * image_size**2`` pixel-noise normals per present image in that
+   order; then ``n_measures`` measure-noise normals.
+
+Generation draws a block of participants this way, then renders the
+block's images, measures and labels together, each image kind in one
+array pass.
+
 Also home to the four-stream batch scheduler: one stream per contrastive
 pairing, each including every qualifying sample exactly once per epoch,
 with missing modalities handled by qualification rather than imputation.
@@ -32,6 +52,7 @@ from .errors import (
 )
 
 STREAMS = ("fc", "fv", "cv", "eyes")
+_VISITS = ("t", "t_prime")  # saved as their index
 _EYE_PHASE_STD = 0.8
 
 # age, fractal dimension, vessel density and artery width: plausible
@@ -88,9 +109,6 @@ class PresenceMask:
     fundus_left: bool
     carotid: bool
 
-    def any(self) -> bool:
-        return self.fundus_right or self.fundus_left or self.carotid
-
 
 @dataclass
 class CohortSample:
@@ -140,44 +158,133 @@ class Cohort:
         return [s for s in self.samples if s.participant_id in ids]
 
 
+# participants drawn, then rendered, together.  At 16 the per-image
+# array calls are already few, and the block's buffers stay under 1 MB
+_BLOCK = 16
+
+
 class _Renderer:
-    """Fixed seeded sinusoidal feature banks mapping latents to images."""
+    """Fixed seeded sinusoidal feature banks mapping latents to images, and
+    the buffers that one block of participants is drawn and rendered in."""
 
     def __init__(self, config: CohortConfig, rng: np.random.Generator):
         n_pix = 3 * config.image_size**2
         ell = config.latent_dim
         self.config = config
-        self.fundus_w = rng.normal(0.0, config.render_freq, size=(n_pix, ell))
-        self.fundus_phase = rng.uniform(0.0, 2.0 * np.pi, size=n_pix)
-        self.left_eye_phase = rng.normal(0.0, _EYE_PHASE_STD, size=n_pix)
-        self.carotid_w = rng.normal(0.0, config.render_freq, size=(n_pix, ell))
-        self.carotid_phase = rng.uniform(0.0, 2.0 * np.pi, size=n_pix)
+        fundus_w = rng.normal(0.0, config.render_freq, size=(n_pix, ell))
+        fundus_phase = rng.uniform(0.0, 2.0 * np.pi, size=n_pix)
+        left_eye_phase = rng.normal(0.0, _EYE_PHASE_STD, size=n_pix)
+        carotid_w = rng.normal(0.0, config.render_freq, size=(n_pix, ell))
+        carotid_phase = rng.uniform(0.0, 2.0 * np.pi, size=n_pix)
         self.measure_map = rng.standard_normal(
             (config.n_measures, ell)
         ) / np.sqrt(ell)
         w = rng.standard_normal(ell)
         self.label_w = w * (config.label_scale / np.linalg.norm(w))
+        # (weights, phase) per image kind, in draw order: right eye, left
+        # eye, carotid
+        self.kinds = (
+            (fundus_w, fundus_phase),
+            (fundus_w, fundus_phase + left_eye_phase),
+            (carotid_w, carotid_phase),
+        )
+        # allocated once per cohort, so that the heap holds little besides
+        # the samples' own arrays; at most one image of a kind per visit
+        self.latents = np.empty((_BLOCK, 2 * ell))
+        self.uniforms = np.empty((_BLOCK, 3))
+        self.noise = np.empty((len(self.kinds), 2 * _BLOCK, n_pix))
+        self.measure_noise = np.empty((2 * _BLOCK, config.n_measures))
+        self.pixels = np.empty((2 * _BLOCK, n_pix))
 
-    def render(self, z: np.ndarray, modality: str, eye: str | None,
-               noise: np.ndarray) -> np.ndarray:
+    def block(self, seed: int, pids: range) -> list[CohortSample]:
+        """The samples of up to ``_BLOCK`` participants, in cohort order."""
         cfg = self.config
-        if modality == "fundus":
-            phase = self.fundus_phase + (
-                self.left_eye_phase if eye == "left" else 0.0
+        n, ell = len(pids), cfg.latent_dim
+        zd, u = self.latents[:n], self.uniforms[:n]
+        rows: list[list[int]] = [[] for _ in self.kinds]  # latent row per image
+        visits = []  # (block index, visit, mask, image row per kind or None)
+
+        # pass 1: every participant's draws, in the order the module
+        # docstring gives
+        for i, pid in enumerate(pids):
+            rng = _participant_rng(seed, pid)
+            rng.standard_normal(out=zd[i])
+            rng.random(out=u[i])
+            for visit in range(1 + (u[i, 0] < cfg.second_visit_fraction)):
+                while True:
+                    mask = [m >= cfg.missing_prob for m in rng.random(3).tolist()]
+                    if any(mask):
+                        break
+                at: list[int | None] = [None, None, None]
+                for kind, present in enumerate(mask):
+                    if present:
+                        at[kind] = len(rows[kind])
+                        rng.standard_normal(out=self.noise[kind, at[kind]])
+                        rows[kind].append(visit * n + i)
+                rng.standard_normal(out=self.measure_noise[len(visits)])
+                visits.append((i, visit, mask, at))
+
+        # pass 2: render the block, one array op at a time per image kind
+        z1 = zd[:, :ell]
+        z = np.concatenate([z1, z1 + cfg.drift * zd[:, ell:]])  # t rows, then t'
+        images = [self._images(kind, z[r]) for kind, r in enumerate(rows)]
+        measures = self._measures(z[[i + v * n for i, v, _, _ in visits]])
+        diagnosis = self._labels(z[:n], u[:, 1])
+        prognosis = self._labels(z[n:], u[:, 2])
+
+        samples = []
+        for j, (i, visit, mask, at) in enumerate(visits):
+            fr, fl, car = (None if a is None else images[kind][a]
+                           for kind, a in enumerate(at))
+            samples.append(
+                CohortSample(
+                    participant_id=pids[i],
+                    visit=_VISITS[visit],
+                    fundus_right=fr,
+                    fundus_left=fl,
+                    carotid=car,
+                    measures=measures[j],
+                    diagnosis_label=diagnosis[i],
+                    prognosis_label=prognosis[i] if diagnosis[i] == 0 else None,
+                    presence_mask=PresenceMask(*mask),
+                )
             )
-            raw = 0.5 + cfg.render_amp * np.sin(self.fundus_w @ z + phase)
-        else:
-            raw = 0.5 + cfg.render_amp * np.sin(self.carotid_w @ z + self.carotid_phase)
-        img = np.clip(raw + cfg.pixel_noise * noise, 0.0, 1.0)
-        return img.reshape(3, cfg.image_size, cfg.image_size)
+        return samples
 
-    def measures(self, z: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    def _images(self, kind: int, z: np.ndarray) -> list[np.ndarray]:
+        """Images of one kind for latents ``z`` (k x L) and the first k rows
+        of that kind's noise, which this overwrites."""
+        cfg = self.config
+        w, phase = self.kinds[kind]
+        k = len(z)
+        noise, out = self.noise[kind, :k], self.pixels[:k]
+        # matmul over a stack runs the per-vector gemv of ``w @ z``; z @ w.T
+        # would take another BLAS kernel and other last bits
+        np.matmul(w[None], z[:, :, None], out=out[:, :, None])
+        out += phase
+        np.sin(out, out=out)
+        out *= cfg.render_amp
+        out += 0.5
+        noise *= cfg.pixel_noise
+        out += noise
+        np.clip(out, 0.0, 1.0, out=out)
+        # every sample owns its arrays, so dropping a split frees its images
+        return [img.copy() for img in out.reshape(k, 3, cfg.image_size, cfg.image_size)]
+
+    def _measures(self, z: np.ndarray) -> list[np.ndarray]:
         scale, offset = self.config.measure_affine()
-        core = self.measure_map @ z + self.config.measure_noise * noise
-        return offset + scale * core
+        noise = self.measure_noise[: len(z)]
+        out = np.matmul(self.measure_map[None], z[:, :, None])[:, :, 0]
+        noise *= self.config.measure_noise
+        out += noise
+        out *= scale
+        out += offset
+        return [row.copy() for row in out]
 
-    def label_prob(self, z: np.ndarray) -> float:
-        return float(1.0 / (1.0 + np.exp(-self.label_w @ z)))
+    def _labels(self, z: np.ndarray, u: np.ndarray) -> list[int]:
+        """Bernoulli draws ``u < sigmoid(label_w . z)`` per row of ``z``."""
+        logit = np.matmul(-self.label_w, z[:, :, None])[:, 0]  # one dot per row
+        return (u < 1.0 / (1.0 + np.exp(logit))).astype(int).tolist()
 
 
 def _participant_rng(seed: int, pid: int) -> np.random.Generator:
@@ -193,49 +300,9 @@ def generate_cohort(
         raise ConfigError(f"need at least 10 participants, got {n_participants}")
     bank_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     renderer = _Renderer(config, bank_rng)
-    n_pix = 3 * config.image_size**2
-
     samples: list[CohortSample] = []
-    for pid in range(n_participants):
-        rng = _participant_rng(seed, pid)
-        z1 = rng.standard_normal(config.latent_dim)
-        z2 = z1 + config.drift * rng.standard_normal(config.latent_dim)
-        has_second_visit = rng.uniform() < config.second_visit_fraction
-        diagnosis = int(rng.uniform() < renderer.label_prob(z1))
-        prognosis_draw = int(rng.uniform() < renderer.label_prob(z2))
-        prognosis = prognosis_draw if diagnosis == 0 else None
-
-        visits = [("t", z1)] + ([("t_prime", z2)] if has_second_visit else [])
-        for visit, z in visits:
-            while True:
-                mask = PresenceMask(
-                    fundus_right=rng.uniform() >= config.missing_prob,
-                    fundus_left=rng.uniform() >= config.missing_prob,
-                    carotid=rng.uniform() >= config.missing_prob,
-                )
-                if mask.any():
-                    break
-            fr = fl = car = None
-            if mask.fundus_right:
-                fr = renderer.render(z, "fundus", "right", rng.standard_normal(n_pix))
-            if mask.fundus_left:
-                fl = renderer.render(z, "fundus", "left", rng.standard_normal(n_pix))
-            if mask.carotid:
-                car = renderer.render(z, "carotid", None, rng.standard_normal(n_pix))
-            measures = renderer.measures(z, rng.standard_normal(config.n_measures))
-            samples.append(
-                CohortSample(
-                    participant_id=pid,
-                    visit=visit,
-                    fundus_right=fr,
-                    fundus_left=fl,
-                    carotid=car,
-                    measures=measures,
-                    diagnosis_label=diagnosis,
-                    prognosis_label=prognosis,
-                    presence_mask=mask,
-                )
-            )
+    for lo in range(0, n_participants, _BLOCK):
+        samples += renderer.block(seed, range(lo, min(lo + _BLOCK, n_participants)))
     return samples
 
 
@@ -413,7 +480,6 @@ class StreamScheduler:
 # persistence
 # ---------------------------------------------------------------------------
 
-_VISITS = ("t", "t_prime")  # saved as their index
 _PROGNOSIS_UNDEFINED = -1.0
 # the values each label column may hold; participant_id is any integer
 _COLUMN_VALUES = {

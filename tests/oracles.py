@@ -137,6 +137,73 @@ def encode_loops(
     return np.array(out)
 
 
+def generate_cohort_per_image(n_participants: int, config, seed: int) -> list[dict]:
+    """The synthetic cohort one participant, visit and image at a time:
+    each participant's draws taken as they are needed, each image rendered
+    by its own matrix-vector product, ``sin`` and ``clip``.  One dict per
+    sample, keyed by ``CohortSample``'s fields, with ``presence_mask`` as
+    the (right eye, left eye, carotid) flags."""
+    bank = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    n_pix = 3 * config.image_size**2
+    ell = config.latent_dim
+    fundus_w = bank.normal(0.0, config.render_freq, size=(n_pix, ell))
+    fundus_phase = bank.uniform(0.0, 2.0 * np.pi, size=n_pix)
+    left_eye_phase = bank.normal(0.0, 0.8, size=n_pix)
+    carotid_w = bank.normal(0.0, config.render_freq, size=(n_pix, ell))
+    carotid_phase = bank.uniform(0.0, 2.0 * np.pi, size=n_pix)
+    measure_map = bank.standard_normal((config.n_measures, ell)) / np.sqrt(ell)
+    w = bank.standard_normal(ell)
+    label_w = w * (config.label_scale / np.linalg.norm(w))
+    scale, offset = config.measure_affine()
+
+    def render(z, kind, noise):
+        if kind == "carotid":
+            arg = carotid_w @ z + carotid_phase
+        else:
+            phase = fundus_phase + (left_eye_phase if kind == "left" else 0.0)
+            arg = fundus_w @ z + phase
+        raw = 0.5 + config.render_amp * np.sin(arg)
+        img = np.clip(raw + config.pixel_noise * noise, 0.0, 1.0)
+        return img.reshape(3, config.image_size, config.image_size)
+
+    def label_prob(z):
+        return float(1.0 / (1.0 + np.exp(-label_w @ z)))
+
+    samples = []
+    for pid in range(n_participants):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 1, pid]))
+        z1 = rng.standard_normal(ell)
+        z2 = z1 + config.drift * rng.standard_normal(ell)
+        has_second_visit = rng.uniform() < config.second_visit_fraction
+        diagnosis = int(rng.uniform() < label_prob(z1))
+        prognosis = int(rng.uniform() < label_prob(z2))
+        visits = [("t", z1)] + ([("t_prime", z2)] if has_second_visit else [])
+        for visit, z in visits:
+            mask = (False, False, False)
+            while not any(mask):
+                mask = tuple(rng.uniform() >= config.missing_prob for _ in range(3))
+            images = {}
+            for kind, present in zip(("right", "left", "carotid"), mask):
+                images[kind] = (
+                    render(z, kind, rng.standard_normal(n_pix)) if present else None
+                )
+            core = measure_map @ z + config.measure_noise * rng.standard_normal(
+                config.n_measures
+            )
+            samples.append({
+                "participant_id": pid,
+                "visit": visit,
+                "fundus_right": images["right"],
+                "fundus_left": images["left"],
+                "carotid": images["carotid"],
+                "measures": offset + scale * core,
+                "diagnosis_label": diagnosis,
+                "prognosis_label": prognosis if diagnosis == 0 else None,
+                "presence_mask": mask,
+            })
+    return samples
+
+
 def top_k_full_sort(sim: np.ndarray, k: int) -> float:
     """Sort every row (descending value, ascending column on ties) and check
     whether the diagonal index survives in the first k entries."""

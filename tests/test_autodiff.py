@@ -206,14 +206,15 @@ def test_overflowing_output_raises_nonfinite(name, op, inputs):
         (ad.layer_norm, ([1e200, -1e200, 0.0], np.ones(3), np.full(3, 0.5)),
          NonFiniteError),
         (ad.gelu, ([1e103, -1e103],), np.array([1e103, -0.0])),
+        (ad.gelu, ([1.7e308, -1.7e308],), np.array([1.7e308, -0.0])),
         (lambda x: ad.mean_axis(x, 1), ([[1e308, 1e308], [0.1, 0.2]],),
          np.array([1e308, np.mean([0.1, 0.2])])),
         (ad.mean_all, ([1e308, 1e308],), np.array(1e308)),
         (ad.softmax, ([[1e308, -1e308]],), np.array([[1.0, 0.0]])),
         (ad.row_logsumexp, ([[1e308, -1e308]],), np.array([1e308])),
     ],
-    ids=["layer_norm_variance", "gelu_cubic", "mean_axis_sum", "mean_all_sum",
-         "softmax_shift", "row_logsumexp_shift"],
+    ids=["layer_norm_variance", "gelu_cubic", "gelu_product", "mean_axis_sum",
+         "mean_all_sum", "softmax_shift", "row_logsumexp_shift"],
 )
 def test_overflow_inside_an_op(op, inputs, want):
     # an intermediate that overflows ends in the op's own answer, never in
@@ -261,6 +262,24 @@ def test_normalize_row_norms_and_idempotence():
     np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
     twice = ad.row_l2_normalize(once)
     np.testing.assert_allclose(twice.value, once.value, rtol=0, atol=1e-12)
+
+
+def test_normalize_row_whose_norm_overflows():
+    # the unit row is finite though its norm (or only its sum of squares)
+    # overflows, and its gradient is taken over the true norm; a row whose
+    # norm is finite keeps the bits it has alone
+    x = np.array([[1e308, 1e308], [1e200, 1e200], [3.0, 4.0]])
+    g = np.array([[2.0**60, 0.0], [2.0**60, 0.0], [1.0, 2.0]])
+    value, (dx,) = _forward_backward(ad.row_l2_normalize, (x,), g)
+    np.testing.assert_allclose(value[:2], np.full((2, 2), 0.70710678), rtol=1e-8)
+    for row, scale in ((0, 1e308), (1, 1e200)):
+        np.testing.assert_allclose(
+            dx[row], np.array([2.0**59, -(2.0**59)]) / (np.sqrt(2.0) * scale),
+            rtol=1e-12,
+        )
+    alone, (alone_dx,) = _forward_backward(ad.row_l2_normalize, (x[2:],), g[2:])
+    assert value[2].tobytes() == alone[0].tobytes()
+    assert dx[2].tobytes() == alone_dx[0].tobytes()
 
 
 def test_normalize_zero_row_rejected():

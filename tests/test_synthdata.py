@@ -1,12 +1,13 @@
 """Synthetic cohort: configuration, generation, splits, persistence and
 the stream scheduler."""
 
+import hashlib
 from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from cmpr import arrayio
+from cmpr import arrayio, synthdata
 from cmpr.errors import ConfigError, ContractError, FormatError
 from cmpr.synthdata import (
     STREAMS,
@@ -17,6 +18,8 @@ from cmpr.synthdata import (
     load_cohort,
     save_cohort,
 )
+
+from oracles import generate_cohort_per_image
 
 
 def test_config_round_trip():
@@ -97,6 +100,51 @@ def test_generate_cohort_is_bitwise_deterministic():
     assert all(_same_sample(x, y) for x, y in zip(a, b))
     c = generate_cohort(30, CohortConfig(), seed=12)
     assert not all(_same_sample(x, y) for x, y in zip(a, c))
+
+
+@pytest.mark.parametrize(
+    "n, config, seed",
+    [
+        (2 * synthdata._BLOCK, CohortConfig(), 3),
+        # every participant has a second visit, and most masks are redrawn
+        (37, CohortConfig(image_size=8, latent_dim=1, n_measures=2,
+                          missing_prob=0.8, second_visit_fraction=1.0), 2),
+        (33, CohortConfig(second_visit_fraction=0.0, missing_prob=0.0), 4),
+        (synthdata._BLOCK + 5, CohortConfig(), 7),
+    ],
+    ids=["default", "all_second_visits_mask_redraws", "one_visit_all_present",
+         "partial_block"],
+)
+def test_generate_cohort_matches_per_image_oracle(n, config, seed):
+    got = generate_cohort(n, config, seed)
+    want = generate_cohort_per_image(n, config, seed)
+    assert len(got) == len(want)
+    for s, w in zip(got, want):
+        m = s.presence_mask
+        assert (m.fundus_right, m.fundus_left, m.carotid) == w["presence_mask"]
+        for name in ("participant_id", "visit", "diagnosis_label", "prognosis_label"):
+            assert getattr(s, name) == w[name]
+            assert type(getattr(s, name)) is type(w[name])
+        for name in ("fundus_right", "fundus_left", "carotid", "measures"):
+            assert _same_bits(getattr(s, name), w[name])
+
+
+def test_generated_arrays_own_their_memory():
+    # a view into the renderer's shared buffers would keep them alive and
+    # be overwritten by the next block
+    for s in generate_cohort(2 * synthdata._BLOCK + 3, CohortConfig(), seed=1):
+        for a in (s.fundus_right, s.fundus_left, s.carotid, s.measures):
+            if a is not None:
+                assert a.base is None
+                assert a.flags.c_contiguous and a.dtype == np.float64
+
+
+def test_saved_cohort_fingerprint(tmp_path):
+    # pins the per-participant draw order: a reordered, added or dropped
+    # draw changes these bytes
+    save_cohort(tmp_path / "c", build_cohort(40, CohortConfig(), seed=3))
+    digest = hashlib.sha256((tmp_path / "c").read_bytes()).hexdigest()
+    assert digest == "dcaa3274df1107c9168ac7adcf54f00563e960a23b9222d93f2591d6ab62aeee"
 
 
 def test_generate_cohort_is_prefix_stable():
