@@ -4,9 +4,10 @@ Only the operations the model and losses actually need are implemented;
 this is not a general autodiff framework.  Broadcasting is deliberately
 narrow: ``add`` and ``sub`` take two Tensors of equal shape; ``mul`` also
 takes a Python scalar or a 0-d Tensor; ``matmul`` batches over one shared
-leading dimension; and ``add_bias`` adds a bias shaped like the trailing
-dims.  Every op that computes new values checks them for NaN/Inf and
-raises instead of propagating garbage.  The shape ops (``reshape``,
+leading dimension; ``add_bias`` adds a bias shaped like the trailing
+dims; and ``concat_rows`` stacks 2-D Tensors of one width along the rows.
+Every op that computes new values checks them for NaN/Inf and raises
+instead of propagating garbage.  The shape ops (``reshape``,
 ``transpose``) do not: their value is a view of a checked input, or, when
 ``reshape`` has to copy a transposed value, a copy of checked values.
 
@@ -438,6 +439,28 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return g @ wv.T, x_again().T @ g, g.sum(axis=0)
 
     return tape.record("linear", out, (x.index, w.index, b.index), bwd)
+
+
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Stack 2-D Tensors of equal width along the rows.
+
+    The backward rule hands each part its rows of the gradient as views.
+    """
+    if not parts:
+        raise ContractError("concat_rows needs at least one Tensor")
+    tape = _same_tape(*parts)
+    width = parts[0].shape[1:]
+    if any(p.value.ndim != 2 or p.shape[1:] != width for p in parts):
+        raise DimensionError(
+            f"concat_rows expects 2-D parts of one width, got "
+            f"{[p.shape for p in parts]}"
+        )
+    out = np.concatenate([p.value for p in parts])
+    ends = np.cumsum([p.shape[0] for p in parts[:-1]])
+    return tape.record(
+        "concat_rows", out, tuple(p.index for p in parts),
+        lambda g: tuple(np.split(g, ends)),
+    )
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:

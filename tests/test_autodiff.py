@@ -171,6 +171,36 @@ def test_linear_shape_errors(x_shape, w_shape, b_shape):
         ad.linear(x, w, b)
 
 
+def test_concat_rows_values_and_backward_slices():
+    rng = np.random.default_rng(9)
+    tape = ad.Tape()
+    parts = [tape.leaf(rng.standard_normal((n, 3))) for n in (2, 1, 4)]
+    out = ad.concat_rows(parts)
+    np.testing.assert_array_equal(
+        out.value, np.concatenate([p.value for p in parts])
+    )
+    r = rng.standard_normal((7, 3))
+    grads = ad.backward(tape, sum_all(ad.mul(out, tape.leaf(r))))
+    for p, rows in zip(parts, (r[:2], r[2:3], r[3:])):
+        np.testing.assert_array_equal(grads.of(p), rows)
+    # the rule splits the gradient into views, not copies
+    pieces = tape.nodes[out.index].backward_fn(r)
+    assert [piece.shape for piece in pieces] == [(2, 3), (1, 3), (4, 3)]
+    assert all(np.shares_memory(piece, r) for piece in pieces)
+
+
+def test_concat_rows_rejects_bad_parts():
+    tape = ad.Tape()
+    with pytest.raises(ContractError, match="at least one"):
+        ad.concat_rows([])
+    with pytest.raises(DimensionError, match="concat_rows"):
+        ad.concat_rows([tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((2, 4)))])
+    with pytest.raises(DimensionError, match="concat_rows"):
+        ad.concat_rows([tape.leaf(np.ones(3)), tape.leaf(np.ones(3))])
+    with pytest.raises(ContractError, match="different tapes"):
+        ad.concat_rows([tape.leaf(np.ones((1, 3))), ad.Tape().leaf(np.ones((1, 3)))])
+
+
 def test_linear_overflow_raises_nonfinite():
     # under the suite's filterwarnings = error, numpy's overflow warning
     # would escape first unless the op silences it
@@ -802,6 +832,20 @@ def test_grad_bias_and_mean_axis(seed):
         h = ad.add_bias(ad.add_bias(p["x"], p["b"]), p["pos"])
         pooled = ad.mean_axis(h, 1)
         return sum_all(ad.mul(pooled, tape.leaf(r)))
+
+    fd_check(build, params)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_concat_rows(seed):
+    rng = np.random.default_rng(seed)
+    params = {"a": rng.standard_normal((2, 3)), "b": rng.standard_normal((3, 3))}
+    r = rng.standard_normal((7, 3))
+
+    def build(tape, p):
+        # one part twice, so its two row slices add up
+        out = ad.concat_rows([p["a"], p["b"], p["a"]])
+        return sum_all(ad.mul(ad.gelu(out), tape.leaf(r)))
 
     fd_check(build, params)
 

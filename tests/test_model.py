@@ -196,24 +196,65 @@ def test_encode_rejects_out_of_range_pixels():
         )
 
 
+def test_encode_rejects_empty_batch():
+    # the tile loop would otherwise meet no tile at all
+    params = model.init_params(TINY, seed=3)
+    with pytest.raises(DimensionError, match=r"\(0, 3, 8, 8\)"):
+        model.encode(make_view(params), TINY, np.zeros((0, 3, 8, 8)), "fundus")
+
+
+def small_tiles(monkeypatch, cfg, images_per_tile):
+    """Make ``encode`` tile every ``images_per_tile`` images of ``cfg``."""
+    monkeypatch.setattr(model, "_TILE_ROWS", images_per_tile * cfg.n_tokens)
+
+
+def random_params(cfg, rng):
+    # every parameter random, so biases, layer-norm affines and positions
+    # all reach the output
+    params = model.init_params(cfg, seed=14)
+    for name, arr in params.arrays.items():
+        params.arrays[name] = rng.normal(0.0, 0.5, size=arr.shape)
+    return params
+
+
 @pytest.mark.parametrize(
     "cfg",
     [TINY, dataclasses.replace(TINY, patch_size=2, embed_dim=6, depth=2)],
     ids=["tiny", "depth2"],
 )
 def test_encode_matches_loop_oracle(cfg):
-    # every parameter random, so biases, layer-norm affines and positions
-    # all reach the output
     rng = np.random.default_rng(14)
-    params = model.init_params(cfg, seed=14)
-    for name, arr in params.arrays.items():
-        params.arrays[name] = rng.normal(0.0, 0.5, size=arr.shape)
+    params = random_params(cfg, rng)
     images = rand_images(rng, 3, cfg.image_size)
     for modality in model.MODALITIES:
         got = model.encode(make_view(params), cfg, images, modality).value
         want = encode_loops(params.arrays, modality, images, cfg.patch_size,
                             cfg.depth)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [TINY, dataclasses.replace(TINY, patch_size=2, embed_dim=6, depth=2)],
+    ids=["tiny", "depth2"],
+)
+def test_tiled_encode_matches_loop_oracle_and_one_tile(cfg, monkeypatch):
+    # 7 images in tiles of 2: three full tiles and a remainder of one
+    rng = np.random.default_rng(15)
+    params = random_params(cfg, rng)
+    images = rand_images(rng, 7, cfg.image_size)
+    for modality in model.MODALITIES:
+        small_tiles(monkeypatch, cfg, 2)
+        view = make_view(params)
+        got = model.encode(view, cfg, images, modality)
+        assert [node.op for node in view.tape.nodes].count("mean_axis") == 4
+        assert view.tape.nodes[got.index].op == "concat_rows"
+        want = encode_loops(params.arrays, modality, images, cfg.patch_size,
+                            cfg.depth)
+        np.testing.assert_allclose(got.value, want, rtol=1e-10, atol=0)
+        small_tiles(monkeypatch, cfg, 10**6)
+        one_tile = model.encode(make_view(params), cfg, images, modality).value
+        np.testing.assert_allclose(got.value, one_tile, rtol=1e-13, atol=0)
 
 
 class _ValueTape(ad.Tape):
@@ -231,26 +272,35 @@ class _ValueTape(ad.Tape):
 
 
 @pytest.mark.parametrize(
-    "cfg, counts",
+    "cfg, n_images, counts",
     [
-        (TINY, {"leaf": 22, "linear": 8, "reshape": 7, "add_bias": 1,
-                "transpose": 1, "matmul": 2, "scale": 1, "softmax": 1,
-                "layer_norm": 2, "add": 2, "gelu": 1, "mean_axis": 1}),
-        (dataclasses.replace(TINY, patch_size=2, embed_dim=6, depth=2),
+        (TINY, 2,
+         {"leaf": 22, "linear": 8, "reshape": 7, "add_bias": 1,
+          "transpose": 1, "matmul": 2, "scale": 1, "softmax": 1,
+          "layer_norm": 2, "add": 2, "gelu": 1, "mean_axis": 1}),
+        (dataclasses.replace(TINY, patch_size=2, embed_dim=6, depth=2), 2,
          {"leaf": 38, "linear": 14, "reshape": 11, "add_bias": 1,
           "transpose": 2, "matmul": 4, "scale": 2, "softmax": 2,
           "layer_norm": 4, "add": 4, "gelu": 2, "mean_axis": 1}),
+        # tiles of 2 images: 2 + 2 + 1
+        (TINY, 5,
+         {"leaf": 24, "linear": 22, "reshape": 21, "add_bias": 3,
+          "transpose": 3, "matmul": 6, "scale": 3, "softmax": 3,
+          "layer_norm": 6, "add": 6, "gelu": 3, "mean_axis": 3,
+          "concat_rows": 1}),
     ],
-    ids=["tiny", "depth2"],
+    ids=["tiny", "depth2", "tiny_3tiles"],
 )
-def test_encode_project_tape(cfg, counts):
+def test_encode_project_tape(cfg, n_images, counts, monkeypatch):
     # per block: 16 parameter leaves; q/k/v/o and the two MLP layers are
     # one linear node each; q/k/v and the attention context are reshaped.
     # Around the blocks: the pixel, patch and position leaves, the patch
     # linear, the position add_bias, three reshapes, the pool, and the
-    # projection's two leaves and linear.
+    # projection's two leaves and linear.  Each further tile repeats all
+    # but the parameter leaves, and one concat_rows joins the pools.
+    small_tiles(monkeypatch, cfg, 2)
     view = ParamView(_ValueTape(), model.init_params(cfg, seed=3))
-    images = rand_images(np.random.default_rng(3), 2, cfg.image_size)
+    images = rand_images(np.random.default_rng(3), n_images, cfg.image_size)
     model.project(view, cfg, model.encode(view, cfg, images, "fundus"), "fundus")
     tape = view.tape
     kinds = [
@@ -432,10 +482,10 @@ def test_decode_overfit_smoke_reduces_mse():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_encoder_projection_gradients_match_fd(seed):
+def encoder_projection_fd(seed, n_images):
+    """Gradients of mean(proj**2) through encode and project against FD."""
     rng = np.random.default_rng(seed)
-    images = rand_images(rng, 2, 8)
+    images = rand_images(rng, n_images, 8)
     base = model.init_params(TINY, seed=seed)
     names = [
         "fundus.patch.w", "fundus.pos", "fundus.block0.attn.wq",
@@ -463,6 +513,19 @@ def test_encoder_projection_gradients_match_fd(seed):
 
     numeric = ad.finite_difference_gradient(f, subset, h=1e-5, adaptive=True)
     assert_grads_close(analytic, numeric)
+    return view
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_encoder_projection_gradients_match_fd(seed):
+    encoder_projection_fd(seed, 2)
+
+
+def test_tiled_encoder_projection_gradients_match_fd(monkeypatch):
+    # 5 images in tiles of 2: the parameter gradients add up over 3 tiles
+    small_tiles(monkeypatch, TINY, 2)
+    view = encoder_projection_fd(2, 5)
+    assert "concat_rows" in {node.op for node in view.tape.nodes}
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +629,11 @@ def test_checkpoint_with_heads_key_raises_config_error(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_no_backward_rule_captures_a_tensor():
+def test_no_backward_rule_captures_a_tensor(monkeypatch):
     # a captured Tensor pins its forward value for the tape's whole life
-    # even when the rule never reads it
+    # even when the rule never reads it.  Tiles of 2 images make each
+    # 3-image encode two tiles, so concat_rows is recorded too.
+    small_tiles(monkeypatch, TINY, 2)
     rng = np.random.default_rng(8)
     params = model.init_params(TINY, seed=8, learnable_tau_init=0.07)
     view = make_view(params)
