@@ -1,6 +1,7 @@
 """Exception taxonomy shared by every cmpr module, and the checks that
 turn a malformed config or manifest into one of its errors."""
 
+import math
 from dataclasses import fields
 from numbers import Integral, Real
 
@@ -68,7 +69,8 @@ def _is_int(v) -> bool:
 
 _FIELD_TYPES = {
     "int": _is_int,
-    "float": lambda v: isinstance(v, Real) and not isinstance(v, bool),
+    "float": lambda v: (isinstance(v, Real) and not isinstance(v, bool)
+                        and math.isfinite(v)),
     "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
 }
 
@@ -76,7 +78,7 @@ _FIELD_TYPES = {
 def check_field_types(obj) -> None:
     """Raise ``ConfigError`` naming the first field of the dataclass ``obj``
     whose value does not match its annotation (``int``, ``float`` or
-    ``list[int]``; a bool is neither)."""
+    ``list[int]``; a bool is neither, and a float must be finite)."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if not _FIELD_TYPES[f.type](value):

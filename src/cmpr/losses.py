@@ -69,6 +69,12 @@ class EmbeddingBatch:
         return self.values.shape[0]
 
 
+def _checked_tau(tau: float) -> float:
+    if not 0.0 < tau < math.inf:
+        raise DomainError(f"temperature must be positive and finite, got {tau}")
+    return tau
+
+
 @dataclass
 class Temperature:
     """Softmax temperature; positive always, learnable via log-parameterization."""
@@ -77,8 +83,7 @@ class Temperature:
     learnable: bool = False
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise DomainError(f"temperature must be positive, got {self.tau}")
+        _checked_tau(self.tau)
 
     def initial_param(self) -> np.ndarray:
         return np.asarray(math.log(self.tau), dtype=np.float64)
@@ -95,45 +100,23 @@ class Temperature:
 
 @dataclass
 class LossWeights:
-    """Non-negative weight per term; the printed total is all-ones with the
-    reconstruction weights zeroed (see ``paper_total``)."""
+    """Weight per term, keyed by ``TERM_ORDER`` name; a term left out weighs
+    1, so ``LossWeights()`` is all ones.  Each weight is finite and >= 0."""
 
-    w_fc: float = 1.0
-    w_fv: float = 1.0
-    w_cv: float = 1.0
-    w_eye: float = 1.0
-    w_pred_r: float = 1.0
-    w_pred_c: float = 1.0
-    w_rec_f: float = 1.0
-    w_rec_c: float = 1.0
+    weights: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if value < 0.0:
-                raise ContractError(f"loss weight {name} must be >= 0, got {value}")
-
-    @classmethod
-    def paper_total(cls) -> "LossWeights":
-        """Weights reproducing the printed six-term total exactly."""
-        return cls(w_rec_f=0.0, w_rec_c=0.0)
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "contr_fc": self.w_fc,
-            "contr_fv": self.w_fv,
-            "contr_cv": self.w_cv,
-            "contr_eye": self.w_eye,
-            "pred_r": self.w_pred_r,
-            "pred_c": self.w_pred_c,
-            "rec_f": self.w_rec_f,
-            "rec_c": self.w_rec_c,
-        }
+        for name, value in self.weights.items():
+            if name not in TERM_ORDER:
+                raise ContractError(f"unknown loss term {name!r}")
+            if not 0.0 <= value < math.inf:
+                raise ContractError(f"loss weight {name} must be finite and >= 0, "
+                                    f"got {value}")
 
     def of(self, term: str) -> float:
-        d = self.as_dict()
-        if term not in d:
+        if term not in TERM_ORDER:
             raise ContractError(f"unknown loss term {term!r}")
-        return d[term]
+        return self.weights.get(term, 1.0)
 
 
 @dataclass
@@ -174,9 +157,7 @@ def _scaled_logits(sim: Tensor, tau: float | Tensor) -> Tensor:
     if isinstance(tau, Tensor):
         inv = ad.exp(ad.neg(ad.log(tau)))
         return ad.mul(sim, inv)
-    if tau <= 0.0:
-        raise DomainError(f"temperature must be positive, got {tau}")
-    return ad.mul(sim, 1.0 / tau)
+    return ad.mul(sim, 1.0 / _checked_tau(tau))
 
 
 def contrastive_loss(

@@ -42,6 +42,7 @@ from .errors import (
     check_field_types,
     manifest_field,
 )
+from .losses import Temperature
 
 MODALITIES = ("fundus", "carotid")
 _TILE_ROWS = 1024  # token rows per encoder tile; see the module docstring
@@ -165,7 +166,8 @@ def init_params(
 
     Weights are truncated-normal (std 0.02), biases and layer-norm shifts
     zero, layer-norm scales one.  ``learnable_tau_init`` adds a ``log_tau``
-    scalar initialized to log of the given temperature.
+    scalar initialized to log of the given temperature, which must be
+    positive and finite (else ``DomainError``).
     """
     rng = np.random.default_rng(seed)
     arrays: OrderedDict[str, np.ndarray] = OrderedDict()
@@ -211,7 +213,7 @@ def init_params(
         for i in range(len(chain) - 1):
             w(f"{m}.dec.conv{i}.k", (chain[i], chain[i + 1], 2, 2))
     if learnable_tau_init is not None:
-        arrays["log_tau"] = np.asarray(math.log(learnable_tau_init), dtype=np.float64)
+        arrays["log_tau"] = Temperature(learnable_tau_init).initial_param()
     return ModelParams(arrays)
 
 

@@ -28,9 +28,11 @@ Generation draws a block of participants this way, then renders the
 block's images, measures and labels together, each image kind in one
 array pass.
 
-Also home to the four-stream batch scheduler: one stream per contrastive
-pairing, each including every qualifying sample exactly once per epoch,
-with missing modalities handled by qualification rather than imputation.
+Also home to the four-stream batch scheduler.  ``STREAMS`` gives each
+contrastive pairing its two sides and whether they are one sample's images
+or a participant's visits t and t'.  Every sample or participant with both
+sides present, and no other (no imputation), is served once per epoch, in
+an order seeded by the stream's position in the table.
 """
 
 from __future__ import annotations
@@ -51,7 +53,15 @@ from .errors import (
     manifest_field,
 )
 
-STREAMS = ("fc", "fv", "cv", "eyes")
+# stream -> (left side, right side, whether the sides are a participant's
+# visits t and t' rather than one sample's images).  A side names a
+# ``CohortSample`` image; ``fundus`` is the preferred eye.
+STREAMS = {
+    "fc": ("fundus", "carotid", False),  # fundus x carotid, same visit
+    "fv": ("fundus", "fundus", True),  # visit-t fundus x visit-t' fundus
+    "cv": ("carotid", "carotid", True),  # visit-t carotid x visit-t' carotid
+    "eyes": ("fundus_right", "fundus_left", False),  # right x left eye, same visit
+}
 _VISITS = ("t", "t_prime")  # saved as their index
 _EYE_PHASE_STD = 0.8
 
@@ -104,15 +114,9 @@ class CohortConfig:
 
 
 @dataclass
-class PresenceMask:
-    fundus_right: bool
-    fundus_left: bool
-    carotid: bool
-
-
-@dataclass
 class CohortSample:
-    """One participant-visit record."""
+    """One participant-visit record.  A missing image is ``None``; which
+    images are present is read off that."""
 
     participant_id: int
     visit: str  # "t" or "t_prime"
@@ -122,15 +126,17 @@ class CohortSample:
     measures: np.ndarray
     diagnosis_label: int
     prognosis_label: int | None  # None unless healthy at baseline
-    presence_mask: PresenceMask
 
-    def fundus_any(self) -> np.ndarray | None:
+    @property
+    def presence_mask(self) -> tuple[bool, bool, bool]:
+        """Whether the right eye, left eye and carotid images are present."""
+        return (self.fundus_right is not None, self.fundus_left is not None,
+                self.carotid is not None)
+
+    @property
+    def fundus(self) -> np.ndarray | None:
         """Preferred fundus image: right eye if present, else left."""
-        if self.presence_mask.fundus_right:
-            return self.fundus_right
-        if self.presence_mask.fundus_left:
-            return self.fundus_left
-        return None
+        return self.fundus_left if self.fundus_right is None else self.fundus_right
 
 
 @dataclass
@@ -202,7 +208,7 @@ class _Renderer:
         n, ell = len(pids), cfg.latent_dim
         zd, u = self.latents[:n], self.uniforms[:n]
         rows: list[list[int]] = [[] for _ in self.kinds]  # latent row per image
-        visits = []  # (block index, visit, mask, image row per kind or None)
+        visits = []  # (block index, visit, image row per kind or None)
 
         # pass 1: every participant's draws, in the order the module
         # docstring gives
@@ -222,18 +228,18 @@ class _Renderer:
                         rng.standard_normal(out=self.noise[kind, at[kind]])
                         rows[kind].append(visit * n + i)
                 rng.standard_normal(out=self.measure_noise[len(visits)])
-                visits.append((i, visit, mask, at))
+                visits.append((i, visit, at))
 
         # pass 2: render the block, one array op at a time per image kind
         z1 = zd[:, :ell]
         z = np.concatenate([z1, z1 + cfg.drift * zd[:, ell:]])  # t rows, then t'
         images = [self._images(kind, z[r]) for kind, r in enumerate(rows)]
-        measures = self._measures(z[[i + v * n for i, v, _, _ in visits]])
+        measures = self._measures(z[[i + v * n for i, v, _ in visits]])
         diagnosis = self._labels(z[:n], u[:, 1])
         prognosis = self._labels(z[n:], u[:, 2])
 
         samples = []
-        for j, (i, visit, mask, at) in enumerate(visits):
+        for j, (i, visit, at) in enumerate(visits):
             fr, fl, car = (None if a is None else images[kind][a]
                            for kind, a in enumerate(at))
             samples.append(
@@ -246,7 +252,6 @@ class _Renderer:
                     measures=measures[j],
                     diagnosis_label=diagnosis[i],
                     prognosis_label=prognosis[i] if diagnosis[i] == 0 else None,
-                    presence_mask=PresenceMask(*mask),
                 )
             )
         return samples
@@ -340,9 +345,8 @@ def build_cohort(n_participants: int, config: CohortConfig, seed: int) -> Cohort
 
 @dataclass
 class StreamMember:
-    """One qualifying pair for a stream; ``left``/``right`` are the u/v
-    sides of the corresponding contrastive term (for the eyes stream,
-    ``left`` is the right-eye image)."""
+    """One qualifying pair for a stream: its ``STREAMS`` left and right
+    sides, the u and v of the stream's contrastive term."""
 
     participant_id: int
     left: np.ndarray
@@ -364,44 +368,26 @@ class StreamBatch:
 
 
 def stream_members(samples: list[CohortSample], stream: str) -> list[StreamMember]:
-    """Every sample/participant qualifying for a stream, in cohort order.
-
-    fc:   fundus (preferred eye) x carotid at the same visit
-    fv:   participant's visit-t fundus x visit-t' fundus
-    cv:   same for carotid
-    eyes: right eye x left eye of one sample
-    """
+    """Every sample, or for a stream across visits every participant, with
+    both of the stream's sides present, in cohort order (across visits: in
+    participant order).  Only single-sample members carry measures."""
     if stream not in STREAMS:
         raise ContractError(f"unknown stream {stream!r}")
-    members: list[StreamMember] = []
-    if stream == "fc":
-        for s in samples:
-            f = s.fundus_any()
-            if f is not None and s.presence_mask.carotid:
-                members.append(StreamMember(s.participant_id, f, s.carotid, s.measures))
-    elif stream == "eyes":
-        for s in samples:
-            if s.presence_mask.fundus_right and s.presence_mask.fundus_left:
-                members.append(
-                    StreamMember(s.participant_id, s.fundus_right, s.fundus_left,
-                                 s.measures)
-                )
-    else:
+    left, right, across_visits = STREAMS[stream]
+    if across_visits:
         by_pid: dict[int, dict[str, CohortSample]] = {}
         for s in samples:
             by_pid.setdefault(s.participant_id, {})[s.visit] = s
-        for pid in sorted(by_pid):
-            pair = by_pid[pid]
-            if "t" not in pair or "t_prime" not in pair:
-                continue
-            if stream == "fv":
-                a, b = pair["t"].fundus_any(), pair["t_prime"].fundus_any()
-            else:
-                a = pair["t"].carotid if pair["t"].presence_mask.carotid else None
-                b = (pair["t_prime"].carotid
-                     if pair["t_prime"].presence_mask.carotid else None)
-            if a is not None and b is not None:
-                members.append(StreamMember(pid, a, b, None))
+        pairs = [(v["t"], v["t_prime"]) for _, v in sorted(by_pid.items())
+                 if len(v) == len(_VISITS)]
+    else:
+        pairs = zip(samples, samples)
+    members = []
+    for a, b in pairs:
+        u, v = getattr(a, left), getattr(b, right)
+        if u is not None and v is not None:
+            measures = None if across_visits else a.measures
+            members.append(StreamMember(a.participant_id, u, v, measures))
     return members
 
 
@@ -440,7 +426,7 @@ class StreamScheduler:
 
     def members(self, stream: str) -> list[StreamMember]:
         if stream not in self._members:
-            raise ContractError(f"unknown stream {stream!r}, not one of {STREAMS}")
+            raise ContractError(f"unknown stream {stream!r}, not one of {list(STREAMS)}")
         return self._members[stream]
 
     def n_batches(self, stream: str) -> int:
@@ -453,7 +439,7 @@ class StreamScheduler:
     def epoch_order(self, stream: str, epoch: int) -> np.ndarray:
         m = len(self.members(stream))
         rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, 3, STREAMS.index(stream), epoch])
+            np.random.SeedSequence([self.seed, 3, list(STREAMS).index(stream), epoch])
         )
         return rng.permutation(m)
 
@@ -503,9 +489,7 @@ def _columns(config: CohortConfig) -> dict:
         "diagnosis": ((), lambda s: s.diagnosis_label),
         "prognosis": ((), lambda s: _PROGNOSIS_UNDEFINED
                       if s.prognosis_label is None else s.prognosis_label),
-        "presence": ((3,), lambda s: (s.presence_mask.fundus_right,
-                                      s.presence_mask.fundus_left,
-                                      s.presence_mask.carotid)),
+        "presence": ((3,), lambda s: s.presence_mask),
         "participant_id": ((), lambda s: s.participant_id),
         "visit": ((), lambda s: _VISITS.index(s.visit)),
     }
@@ -573,20 +557,18 @@ def load_cohort(path: str | Path) -> Cohort:
         arrays[name] for name in shapes
     )
     samples = []
-    for i in range(n):
-        mask = PresenceMask(*map(bool, presence[i]))
+    for i, (has_fr, has_fl, has_car) in enumerate((presence == 1.0).tolist()):
         samples.append(
             CohortSample(
                 participant_id=int(pid[i]),
                 visit=_VISITS[int(visit[i])],
-                fundus_right=fr[i] if mask.fundus_right else None,
-                fundus_left=fl[i] if mask.fundus_left else None,
-                carotid=car[i] if mask.carotid else None,
+                fundus_right=fr[i] if has_fr else None,
+                fundus_left=fl[i] if has_fl else None,
+                carotid=car[i] if has_car else None,
                 measures=measures[i],
                 diagnosis_label=int(diagnosis[i]),
                 prognosis_label=(None if prognosis[i] == _PROGNOSIS_UNDEFINED
                                  else int(prognosis[i])),
-                presence_mask=mask,
             )
         )
     seed = manifest_field(path, manifest, "seed", int)

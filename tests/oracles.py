@@ -204,6 +204,45 @@ def generate_cohort_per_image(n_participants: int, config, seed: int) -> list[di
     return samples
 
 
+def stream_members_longhand(samples, stream: str) -> list[tuple]:
+    """The members of one scheduler stream, one branch per kind of pairing,
+    as (participant id, left image, right image, measures or None):
+
+    fc:   fundus (right eye if present, else left) x carotid, same sample
+    fv:   a participant's visit-t fundus x visit-t' fundus, by participant
+    cv:   the same for carotid
+    eyes: right eye x left eye of one sample
+    """
+
+    def fundus(s):
+        return s.fundus_right if s.fundus_right is not None else s.fundus_left
+
+    members = []
+    if stream == "fc":
+        for s in samples:
+            if fundus(s) is not None and s.carotid is not None:
+                members.append((s.participant_id, fundus(s), s.carotid, s.measures))
+    elif stream == "eyes":
+        for s in samples:
+            if s.fundus_right is not None and s.fundus_left is not None:
+                members.append(
+                    (s.participant_id, s.fundus_right, s.fundus_left, s.measures)
+                )
+    else:
+        image = fundus if stream == "fv" else (lambda s: s.carotid)
+        for pid in sorted({s.participant_id for s in samples}):
+            first = [s for s in samples if s.participant_id == pid and s.visit == "t"]
+            second = [
+                s for s in samples if s.participant_id == pid and s.visit == "t_prime"
+            ]
+            if not first or not second:
+                continue
+            a, b = image(first[0]), image(second[0])
+            if a is not None and b is not None:
+                members.append((pid, a, b, None))
+    return members
+
+
 def top_k_full_sort(sim: np.ndarray, k: int) -> float:
     """Sort every row (descending value, ascending column on ties) and check
     whether the diagonal index survives in the first k entries."""

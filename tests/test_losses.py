@@ -131,10 +131,11 @@ def test_contrastive_nonpositive_tau_rejected():
     tape = ad.Tape()
     u = mkbatch(tape, np.eye(2))
     v = mkbatch(tape, np.eye(2), Modality.CAROTID)
-    with pytest.raises(DomainError):
-        losses.contrastive_loss(u, v, 0.0)
-    with pytest.raises(DomainError):
-        Temperature(tau=-1.0)
+    for tau in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            losses.contrastive_loss(u, v, tau)
+        with pytest.raises(DomainError):
+            Temperature(tau=tau)
 
 
 def test_contrastive_scale_invariance():
@@ -368,7 +369,9 @@ def test_total_single_term():
 def test_total_six_terms_paper_shape():
     tape = ad.Tape()
     six = {k: 1.0 for k in losses.TERM_ORDER[:6]}
-    report, _ = losses.total_loss(_const_terms(tape, six), LossWeights.paper_total())
+    # the printed six-term total: reconstruction weighs nothing
+    paper = LossWeights({"rec_f": 0.0, "rec_c": 0.0})
+    report, _ = losses.total_loss(_const_terms(tape, six), paper)
     assert report.total == 6.0
     assert len(report.terms) == 6
 
@@ -376,10 +379,9 @@ def test_total_six_terms_paper_shape():
 def test_total_weighted_sum_oracle():
     rng = np.random.default_rng(70)
     values = {k: float(rng.uniform(0.1, 3.0)) for k in losses.TERM_ORDER}
-    weights = LossWeights(
-        w_fc=0.5, w_fv=2.0, w_cv=1.0, w_eye=0.0, w_pred_r=3.0,
-        w_pred_c=1.5, w_rec_f=0.25, w_rec_c=1.0,
-    )
+    # contr_cv left out, so it weighs 1
+    weights = LossWeights({"contr_fc": 0.5, "contr_fv": 2.0, "contr_eye": 0.0,
+                           "pred_r": 3.0, "pred_c": 1.5, "rec_f": 0.25, "rec_c": 1.0})
     want = sum(weights.of(k) * values[k] for k in losses.TERM_ORDER)
     tape = ad.Tape()
     report, total = losses.total_loss(_const_terms(tape, values), weights)
@@ -403,8 +405,15 @@ def test_total_empty_terms_rejected():
 
 
 def test_negative_weight_rejected():
-    with pytest.raises(ContractError):
-        LossWeights(w_fc=-0.5)
+    for weights, match in [
+        ({"contr_fc": -0.5}, "contr_fc"),
+        ({"pred_r": math.nan}, "pred_r"),
+        ({"rec_f": math.inf}, "rec_f"),
+        ({"rec_c": -math.inf}, "rec_c"),
+        ({"contr_eyes": 1.0}, "unknown loss term 'contr_eyes'"),
+    ]:
+        with pytest.raises(ContractError, match=match):
+            LossWeights(weights)
 
 
 def test_loss_report_json_round_trip():

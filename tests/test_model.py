@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 
 from cmpr import autodiff as ad
 from cmpr import losses, model
-from cmpr.errors import ConfigError, ContractError, DimensionError, FormatError
+from cmpr.errors import (
+    ConfigError,
+    ContractError,
+    DimensionError,
+    DomainError,
+    FormatError,
+)
 from cmpr.model import EncoderConfig, ParamView
 
 from oracles import (
@@ -132,6 +139,13 @@ def test_init_param_count_matches_closed_form():
     with_tau = model.init_params(TINY, seed=0, learnable_tau_init=0.07)
     assert with_tau.n_params() == expected_param_count(TINY, learnable_tau=True)
     assert with_tau.log_tau is not None
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_init_rejects_bad_learnable_tau(tau):
+    with pytest.raises(DomainError, match="temperature"):
+        model.init_params(TINY, seed=0, learnable_tau_init=tau)
 
 
 def test_init_truncation_and_zero_biases():

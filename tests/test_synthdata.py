@@ -19,7 +19,7 @@ from cmpr.synthdata import (
     save_cohort,
 )
 
-from oracles import generate_cohort_per_image
+from oracles import generate_cohort_per_image, stream_members_longhand
 
 
 def test_config_round_trip():
@@ -42,8 +42,10 @@ def test_config_from_dict_names_missing_key():
 
 @pytest.mark.parametrize(
     "key, value",
-    [("latent_dim", "x"), ("drift", None)],
-    ids=["latent_dim_str", "drift_none"],
+    [("latent_dim", "x"), ("drift", None), ("drift", float("nan")),
+     ("pixel_noise", float("inf")), ("measure_noise", float("-inf"))],
+    ids=["latent_dim_str", "drift_none", "drift_nan", "pixel_noise_inf",
+         "measure_noise_minus_inf"],
 )
 def test_config_wrong_field_type_raises_config_error(tmp_path, key, value):
     d = {**CohortConfig().to_dict(), key: value}
@@ -120,8 +122,7 @@ def test_generate_cohort_matches_per_image_oracle(n, config, seed):
     want = generate_cohort_per_image(n, config, seed)
     assert len(got) == len(want)
     for s, w in zip(got, want):
-        m = s.presence_mask
-        assert (m.fundus_right, m.fundus_left, m.carotid) == w["presence_mask"]
+        assert s.presence_mask == w["presence_mask"]
         for name in ("participant_id", "visit", "diagnosis_label", "prognosis_label"):
             assert getattr(s, name) == w[name]
             assert type(getattr(s, name)) is type(w[name])
@@ -331,3 +332,45 @@ def test_each_epoch_serves_every_member_once():
                 assert len(served) == len(set(served))
                 dropped = len(members) % batch_size == 1
                 assert len(served) == len(members) - dropped
+
+
+@pytest.mark.parametrize(
+    "second_visits, saved, order",
+    [(0.5, False, 1), (1.0, False, 1), (0.5, True, 1), (1.0, False, -1)],
+    ids=["half_second_visits", "all_second_visits", "saved_and_loaded",
+         "reversed_samples"],
+)
+@pytest.mark.parametrize("stream", list(STREAMS))
+def test_stream_members_match_longhand_oracle(
+    tmp_path, stream, second_visits, saved, order
+):
+    cfg = CohortConfig(missing_prob=0.5, second_visit_fraction=second_visits)
+    cohort = build_cohort(60, cfg, seed=11)
+    if saved:
+        save_cohort(tmp_path / "c", cohort)
+        cohort = load_cohort(tmp_path / "c")
+    # reversed, the visit pairs still come in participant order
+    samples = cohort.samples[::order]
+    got = synthdata.stream_members(samples, stream)
+    want = stream_members_longhand(samples, stream)
+    assert len(want) >= 5  # every stream has members to compare
+    assert len(got) == len(want)
+    for m, (pid, left, right, measures) in zip(got, want):
+        assert m.participant_id == pid
+        assert _same_bits(m.left, left) and _same_bits(m.right, right)
+        assert _same_bits(m.measures, measures)
+
+
+def test_scheduler_batch_order_is_pinned():
+    # each stream's shuffle is seeded by its position in STREAMS, so
+    # reordering the table, or any member list, changes these ids
+    cohort = build_cohort(40, CohortConfig(second_visit_fraction=0.5), seed=3)
+    sched = StreamScheduler(cohort.samples, batch_size=4, seed=3)
+    got = {stream: [sched.batch_at(stream, i).participant_ids.tolist()
+                    for i in range(3)] for stream in STREAMS}
+    assert got == {
+        "fc": [[38, 22, 22, 10], [13, 14, 39, 37], [31, 32, 21, 20]],
+        "fv": [[30, 13, 4, 17], [35, 1, 25, 10], [11, 14, 38, 32]],
+        "cv": [[37, 13, 22, 36], [20, 32, 21, 19], [27, 1, 30, 35]],
+        "eyes": [[23, 22, 32, 29], [3, 10, 37, 31], [33, 25, 34, 35]],
+    }
