@@ -195,7 +195,8 @@ class Gradients:
         self._tape = tape
         self._by_node = by_node
 
-    def _leaf_grad(self, t: Tensor) -> np.ndarray | None:
+    def of(self, t: Tensor) -> np.ndarray:
+        """Gradient w.r.t. leaf ``t``; zeros if the root does not depend on it."""
         if t.tape is not self._tape:
             raise ContractError("tensor was not recorded on this tape")
         node = self._tape.nodes[t.index]
@@ -203,18 +204,8 @@ class Gradients:
             raise ContractError(
                 f"gradients are kept for leaves only, not op '{node.op}'"
             )
-        return self._by_node[t.index]
-
-    def of(self, t: Tensor) -> np.ndarray:
-        """Gradient w.r.t. leaf ``t``; zeros if the root does not depend on it."""
-        g = self._leaf_grad(t)
-        if g is None:
-            return np.zeros_like(t.value)
-        return g
-
-    def reached(self, t: Tensor) -> bool:
-        """Whether the root depends on leaf ``t``."""
-        return self._leaf_grad(t) is not None
+        g = self._by_node[t.index]
+        return np.zeros_like(t.value) if g is None else g
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:

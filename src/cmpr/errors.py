@@ -67,10 +67,14 @@ def _is_int(v) -> bool:
     return isinstance(v, Integral) and not isinstance(v, bool)
 
 
+def is_real(v) -> bool:
+    """Whether ``v`` is a real number; a bool is not one."""
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
 _FIELD_TYPES = {
     "int": _is_int,
-    "float": lambda v: (isinstance(v, Real) and not isinstance(v, bool)
-                        and math.isfinite(v)),
+    "float": lambda v: is_real(v) and math.isfinite(v),
     "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
 }
 

@@ -1,9 +1,14 @@
 """The multi-objective loss stack.
 
-Four symmetric contrastive terms over pairs of embedding batches, two
-measure-prediction MSE terms, two reconstruction MSE terms, and their
+Four symmetric contrastive terms over pairs of (N, D) embedding Tensors,
+two measure-prediction MSE terms, two reconstruction MSE terms, and their
 weighted aggregation into a per-step report.  All functions here are pure
 and operate on tape tensors so gradients flow through every term.
+
+The loss math takes plain Tensors.  The modality and view tags of
+``EmbeddingBatch`` exist only for ``instantiate_contrastive``, which checks
+that two tagged batches form the pairing it is asked for before passing
+their values on.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, DimensionError, DomainError, PairingError
+from .errors import ContractError, DimensionError, DomainError, PairingError, is_real
 
 
 class Modality(str, enum.Enum):
@@ -48,28 +53,19 @@ TERM_ORDER = (
 
 @dataclass
 class EmbeddingBatch:
-    """Projected embeddings for one modality/view; row i of a paired batch
-    refers to the same participant as row i of its partner."""
+    """Projected embeddings tagged with their modality and view.  Only
+    ``instantiate_contrastive`` reads the tags, to check a pairing; row i
+    of a paired batch refers to the same participant as row i of its
+    partner."""
 
     values: Tensor
     modality_tag: Modality
     view_tag: View = View.PLAIN
 
-    def __post_init__(self):
-        if self.values.value.ndim != 2:
-            raise DimensionError(
-                f"embedding batch must be N x D, got {self.values.shape}"
-            )
-        n, d = self.values.shape
-        if n < 1 or d < 2:
-            raise ContractError(f"embedding batch needs N >= 1, D >= 2, got {n}x{d}")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
 
 def _checked_tau(tau: float) -> float:
+    if not is_real(tau):
+        raise ContractError(f"temperature must be a real number, got {tau!r}")
     if not 0.0 < tau < math.inf:
         raise DomainError(f"temperature must be positive and finite, got {tau}")
     return tau
@@ -109,9 +105,9 @@ class LossWeights:
         for name, value in self.weights.items():
             if name not in TERM_ORDER:
                 raise ContractError(f"unknown loss term {name!r}")
-            if not 0.0 <= value < math.inf:
-                raise ContractError(f"loss weight {name} must be finite and >= 0, "
-                                    f"got {value}")
+            if not (is_real(value) and 0.0 <= value < math.inf):
+                raise ContractError(f"loss weight {name} must be a finite real "
+                                    f"number >= 0, got {value!r}")
 
     def of(self, term: str) -> float:
         if term not in TERM_ORDER:
@@ -141,15 +137,17 @@ class LossReport:
         return cls(step=step, terms=record, total=total)
 
 
-def cosine_similarity_matrix(u: EmbeddingBatch, v: EmbeddingBatch) -> Tensor:
-    """Entry (i, j) is the cosine similarity of u_i and v_j."""
-    if u.values.shape != v.values.shape:
-        raise DimensionError(
-            f"paired batches must share N x D, got {u.values.shape} "
-            f"vs {v.values.shape}"
-        )
-    un = ad.row_l2_normalize(u.values)
-    vn = ad.row_l2_normalize(v.values)
+def cosine_similarity_matrix(u: Tensor, v: Tensor) -> Tensor:
+    """Entry (i, j) is the cosine similarity of u_i and v_j, for two
+    (N, D) batches with N >= 1 and D >= 2."""
+    if u.shape != v.shape or len(u.shape) != 2:
+        raise DimensionError(f"paired batches must share N x D, got {u.shape} "
+                             f"vs {v.shape}")
+    n, d = u.shape
+    if n < 1 or d < 2:
+        raise ContractError(f"embedding batches need N >= 1, D >= 2, got {n}x{d}")
+    un = ad.row_l2_normalize(u)
+    vn = ad.row_l2_normalize(v)
     return ad.matmul(un, ad.transpose(vn, (1, 0)))
 
 
@@ -160,9 +158,7 @@ def _scaled_logits(sim: Tensor, tau: float | Tensor) -> Tensor:
     return ad.mul(sim, 1.0 / _checked_tau(tau))
 
 
-def contrastive_loss(
-    u: EmbeddingBatch, v: EmbeddingBatch, tau: float | Tensor
-) -> Tensor:
+def contrastive_loss(u: Tensor, v: Tensor, tau: float | Tensor) -> Tensor:
     """Mean over rows of -log softmax(sim/tau) at the diagonal.
 
     Computed as logsumexp(row) - diagonal, with max subtraction inside the
@@ -174,7 +170,7 @@ def contrastive_loss(
     return ad.mean_all(ad.sub(lse, diag))
 
 
-def clip_loss(u: EmbeddingBatch, v: EmbeddingBatch, tau: float | Tensor) -> Tensor:
+def clip_loss(u: Tensor, v: Tensor, tau: float | Tensor) -> Tensor:
     """Symmetric contrastive loss: mean of the two row-wise directions.
 
     The two directional terms use identical code paths, and IEEE addition
@@ -223,7 +219,7 @@ def instantiate_contrastive(
                 f"{want[1].value}, got {batch.modality_tag.value}/"
                 f"{batch.view_tag.value}"
             )
-    return name, clip_loss(u, v, tau)
+    return name, clip_loss(u.values, v.values, tau)
 
 
 def prediction_mse(m: Tensor, m_hat: Tensor) -> Tensor:

@@ -87,34 +87,22 @@ def _diagonal_ranks(sim: np.ndarray) -> np.ndarray:
     return (sim > diag).sum(axis=1) + ((sim == diag) & (cols < rows)).sum(axis=1)
 
 
-def _hit_rate(ranks: np.ndarray, k: int) -> float:
-    n = ranks.size
-    if not 1 <= k <= n:
-        raise ContractError(f"k must be in [1, {n}], got {k}")
-    return float(np.mean(ranks < k))
-
-
-def top_k_accuracy(sim: np.ndarray, k: int) -> float:
-    """Fraction of rows whose diagonal entry ranks in the row's top k.
-
-    Ranking is by descending value; ties break toward the lower column
-    index, so results are deterministic.
-    """
-    return _hit_rate(_diagonal_ranks(sim), k)
-
-
-def multiplicative_top_k(sim: np.ndarray, k: int) -> float:
-    """Top-k accuracy divided by the chance rate k/N; 1.0 is random."""
-    return top_k_accuracy(sim, k) * len(sim) / k
-
-
 def topk_report(sim: np.ndarray, k_values=DEFAULT_K_VALUES) -> MetricReport:
-    """Top-k and multiplicative top-k at each k, ranking ``sim`` once."""
+    """Top-k and multiplicative top-k at each k, ranking ``sim`` once.
+
+    Top-k is the fraction of rows whose diagonal entry ranks in the row's
+    top k, by descending value; ties break toward the lower column index,
+    so results are deterministic.  Multiplicative top-k divides it by the
+    chance rate k/N, so 1.0 is random.  Each k must lie in [1, N].
+    """
     report = MetricReport(k_values=[int(k) for k in k_values])
     ranks = _diagonal_ranks(sim)
+    n = ranks.size
     for k in report.k_values:
-        report.top_k[k] = _hit_rate(ranks, k)
-        report.mult_top_k[k] = report.top_k[k] * ranks.size / k
+        if not 1 <= k <= n:
+            raise ContractError(f"k must be in [1, {n}], got {k}")
+        report.top_k[k] = float(np.mean(ranks < k))
+        report.mult_top_k[k] = report.top_k[k] * n / k
     return report
 
 

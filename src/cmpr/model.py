@@ -115,16 +115,6 @@ class ModelParams:
 
     arrays: "OrderedDict[str, np.ndarray]"
 
-    def subset(self, prefix: str) -> dict[str, np.ndarray]:
-        return {k: v for k, v in self.arrays.items() if k.startswith(prefix)}
-
-    @property
-    def log_tau(self) -> np.ndarray | None:
-        return self.arrays.get("log_tau")
-
-    def n_params(self) -> int:
-        return sum(v.size for v in self.arrays.values())
-
 
 class ParamView:
     """Wraps parameter arrays as tape leaves on first use.
@@ -308,10 +298,6 @@ def _encode_tile(
 
 def project(view: ParamView, config: EncoderConfig, emb: Tensor, modality: str):
     """Affine map into the contrastive space; not normalized here."""
-    if emb.shape[-1] != config.embed_dim:
-        raise DimensionError(
-            f"expected embeddings of width {config.embed_dim}, got {emb.shape}"
-        )
     return _linear(view, emb, f"{modality}.proj")
 
 
@@ -319,10 +305,6 @@ def predict_measures(
     view: ParamView, config: EncoderConfig, emb: Tensor, modality: str
 ) -> Tensor:
     """linear -> GELU -> linear measure predictions, (N, n_measures)."""
-    if emb.shape[-1] != config.embed_dim:
-        raise DimensionError(
-            f"prediction head expects width {config.embed_dim}, got {emb.shape}"
-        )
     return _mlp(view, f"{modality}.pred", emb)
 
 
@@ -345,10 +327,6 @@ def decode(
     view: ParamView, config: EncoderConfig, emb: Tensor, modality: str
 ) -> Tensor:
     """Embedding -> seed feature map -> stride-2 upsampling stack -> image."""
-    if emb.shape[-1] != config.embed_dim:
-        raise DimensionError(
-            f"decoder expects width {config.embed_dim}, got {emb.shape}"
-        )
     n = emb.shape[0]
     hw = config.decoder_seed_hw
     c0 = config.decoder_channels[0]

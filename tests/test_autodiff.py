@@ -535,12 +535,9 @@ def test_gradients_are_kept_for_leaves_only():
     # d/dx sum((2xw)^2) = 8 x w^2, and symmetrically for w
     np.testing.assert_array_equal(grads.of(x), 8.0 * xv * wv * wv)
     np.testing.assert_array_equal(grads.of(w), 8.0 * wv * xv * xv)
-    assert grads.reached(x) and grads.reached(w)
     for interior in (y, z, loss):
         with pytest.raises(ContractError, match="leaves only"):
             grads.of(interior)
-        with pytest.raises(ContractError, match="leaves only"):
-            grads.reached(interior)
     other = ad.Tape().leaf(xv)
     with pytest.raises(ContractError):
         grads.of(other)
@@ -551,7 +548,6 @@ def test_unreached_leaf_gradient_is_zero():
     x = tape.leaf(np.ones((2, 2)))
     unused = tape.leaf(np.ones(3))
     grads = ad.backward(tape, sum_all(x))
-    assert not grads.reached(unused)
     np.testing.assert_array_equal(grads.of(unused), np.zeros(3))
 
 

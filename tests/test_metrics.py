@@ -21,6 +21,14 @@ from cmpr.errors import (
 from oracles import auc_pairwise, r_squared_two_pass, top_k_full_sort
 
 
+def top_k(sim, k):
+    return metrics.topk_report(sim, (k,)).top_k[k]
+
+
+def mult_top_k(sim, k):
+    return metrics.topk_report(sim, (k,)).mult_top_k[k]
+
+
 def random_unit(rng, n, d):
     x = rng.standard_normal((n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -35,26 +43,27 @@ def test_top1_on_diagonal_dominant():
     rng = np.random.default_rng(0)
     sim = rng.uniform(-0.5, 0.5, size=(6, 6))
     np.fill_diagonal(sim, 2.0)
-    assert metrics.top_k_accuracy(sim, 1) == 1.0
+    assert top_k(sim, 1) == 1.0
 
 
 def test_diagonal_smallest_excluded_from_top_n_minus_1():
     rng = np.random.default_rng(1)
     sim = rng.uniform(0.5, 1.0, size=(5, 5))
     np.fill_diagonal(sim, -1.0)
-    assert metrics.top_k_accuracy(sim, 4) == 0.0
+    assert top_k(sim, 4) == 0.0
 
 
 def test_top_n_is_always_one():
     for seed in range(10):
         sim = np.random.default_rng(seed).standard_normal((7, 7))
-        assert metrics.top_k_accuracy(sim, 7) == 1.0
+        assert top_k(sim, 7) == 1.0
 
 
 def test_top_k_monotone_in_k():
     for seed in range(10):
         sim = np.random.default_rng(seed).standard_normal((10, 10))
-        vals = [metrics.top_k_accuracy(sim, k) for k in range(1, 11)]
+        report = metrics.topk_report(sim, range(1, 11))
+        vals = [report.top_k[k] for k in range(1, 11)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
@@ -62,27 +71,27 @@ def test_top_k_matches_full_sort_oracle_200_matrices():
     for seed in range(200):
         sim = np.random.default_rng(seed).standard_normal((10, 10))
         for k in (1, 3, 5):
-            assert metrics.top_k_accuracy(sim, k) == top_k_full_sort(sim, k)
+            assert top_k(sim, k) == top_k_full_sort(sim, k)
 
 
 def test_top_k_tie_breaking_prefers_lower_column():
     # row 0: tie between column 0 (diagonal) and column 2
     sim = np.array([[0.9, 0.1, 0.9], [0.0, 0.5, 0.1], [0.0, 0.1, 0.5]])
-    assert metrics.top_k_accuracy(sim, 1) == 1.0
+    assert top_k(sim, 1) == 1.0
     # move the tie to a column before the diagonal: row 1 diagonal loses it
     sim2 = np.array([[0.9, 0.0, 0.0], [0.5, 0.5, 0.1], [0.0, 0.1, 0.5]])
-    assert metrics.top_k_accuracy(sim2, 1) == pytest.approx(2.0 / 3.0)
-    assert metrics.top_k_accuracy(sim2, 1) == top_k_full_sort(sim2, 1)
+    assert top_k(sim2, 1) == pytest.approx(2.0 / 3.0)
+    assert top_k(sim2, 1) == top_k_full_sort(sim2, 1)
 
 
 def test_top_k_out_of_range_rejected():
     sim = np.eye(4)
     with pytest.raises(ContractError):
-        metrics.top_k_accuracy(sim, 0)
+        top_k(sim, 0)
     with pytest.raises(ContractError):
-        metrics.top_k_accuracy(sim, 5)
+        top_k(sim, 5)
     with pytest.raises(DimensionError):
-        metrics.top_k_accuracy(np.ones((3, 4)), 1)
+        top_k(np.ones((3, 4)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +101,15 @@ def test_top_k_out_of_range_rejected():
 
 def test_mult_top_k_perfect_matcher():
     sim = np.eye(100) * 2.0 - 1.0
-    assert metrics.multiplicative_top_k(sim, 1) == 100.0
+    assert mult_top_k(sim, 1) == 100.0
 
 
 def test_mult_top_k_identity_with_top_k():
     for seed in range(20):
         sim = np.random.default_rng(seed).standard_normal((12, 12))
         for k in (1, 3, 5, 12):
-            want = metrics.top_k_accuracy(sim, k) * 12 / k
-            assert abs(metrics.multiplicative_top_k(sim, k) - want) < 1e-12
+            want = top_k(sim, k) * 12 / k
+            assert abs(mult_top_k(sim, k) - want) < 1e-12
 
 
 def test_mult_top_k_random_embeddings_near_one():
@@ -109,8 +118,9 @@ def test_mult_top_k_random_embeddings_near_one():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         sim = random_unit(rng, 1000, 32) @ random_unit(rng, 1000, 32).T
+        report = metrics.topk_report(sim, means)
         for k in means:
-            means[k].append(metrics.multiplicative_top_k(sim, k))
+            means[k].append(report.mult_top_k[k])
     for k, vals in means.items():
         assert 0.8 <= np.mean(vals) <= 1.25, (k, np.mean(vals))
 
@@ -123,7 +133,7 @@ def test_chance_calibration_expected_top_k():
         for seed in range(12):
             rng = np.random.default_rng(1000 + seed)
             sim = random_unit(rng, n, 16) @ random_unit(rng, n, 16).T
-            vals.append(metrics.top_k_accuracy(sim, k))
+            vals.append(top_k(sim, k))
         assert abs(np.mean(vals) - k / n) <= 0.25 * k / n
 
 

@@ -132,19 +132,30 @@ def test_init_different_seeds_differ():
     )
 
 
+def n_params(params):
+    return sum(v.size for v in params.arrays.values())
+
+
 def test_init_param_count_matches_closed_form():
     for cfg in (TINY, EncoderConfig()):
         params = model.init_params(cfg, seed=0)
-        assert params.n_params() == expected_param_count(cfg)
+        assert n_params(params) == expected_param_count(cfg)
+        assert "log_tau" not in params.arrays
     with_tau = model.init_params(TINY, seed=0, learnable_tau_init=0.07)
-    assert with_tau.n_params() == expected_param_count(TINY, learnable_tau=True)
-    assert with_tau.log_tau is not None
+    assert n_params(with_tau) == expected_param_count(TINY, learnable_tau=True)
+    assert with_tau.arrays["log_tau"] == math.log(0.07)
 
 
-@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf],
-                         ids=["zero", "negative", "nan", "inf"])
-def test_init_rejects_bad_learnable_tau(tau):
-    with pytest.raises(DomainError, match="temperature"):
+@pytest.mark.parametrize("tau, error", [
+    (0.0, DomainError),
+    (-1.0, DomainError),
+    (math.nan, DomainError),
+    (math.inf, DomainError),
+    ("0.07", ContractError),
+    (True, ContractError),
+], ids=["zero", "negative", "nan", "inf", "str", "bool"])
+def test_init_rejects_bad_learnable_tau(tau, error):
+    with pytest.raises(error, match="temperature"):
         model.init_params(TINY, seed=0, learnable_tau_init=tau)
 
 
@@ -153,13 +164,6 @@ def test_init_truncation_and_zero_biases():
     assert np.abs(params.arrays["fundus.patch.w"]).max() <= 2 * model.INIT_STD
     np.testing.assert_array_equal(params.arrays["fundus.patch.b"], 0.0)
     np.testing.assert_array_equal(params.arrays["fundus.block0.ln1.g"], 1.0)
-
-
-def test_param_group_properties():
-    params = model.init_params(TINY, seed=2)
-    assert set(params.subset("fundus.proj")) == {"fundus.proj.w", "fundus.proj.b"}
-    assert all(k.startswith("carotid.dec") for k in params.subset("carotid.dec"))
-    assert params.log_tau is None
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +389,17 @@ def test_predict_measures_shape_and_zero_params():
     np.testing.assert_array_equal(out0.value, 0.0)
 
 
+@pytest.mark.parametrize("head", [model.project, model.predict_measures, model.decode],
+                         ids=["project", "predict_measures", "decode"])
+@pytest.mark.parametrize("shape", [(3, TINY.embed_dim - 1), (3, TINY.embed_dim + 1),
+                                   (TINY.embed_dim,)], ids=["narrow", "wide", "1d"])
+def test_heads_reject_wrong_embedding_width(head, shape):
+    # each head's first op is a linear layer, which checks the width
+    view = make_view(model.init_params(TINY, seed=7))
+    with pytest.raises(DimensionError):
+        head(view, TINY, view.tape.leaf(np.ones(shape)), "fundus")
+
+
 def test_decode_output_shape_matches_input_images():
     for cfg in (TINY, EncoderConfig()):
         params = model.init_params(cfg, seed=8)
@@ -426,7 +441,8 @@ def test_decode_matches_direct_transposed_convolution(cfg):
     params, emb = _random_decoder(cfg, seed=16)
     view = make_view(params)
     got = model.decode(view, cfg, view.tape.leaf(emb), "carotid").value
-    p = {k[len("carotid.dec."):]: v for k, v in params.subset("carotid.dec.").items()}
+    p = {k[len("carotid.dec."):]: v for k, v in params.arrays.items()
+         if k.startswith("carotid.dec.")}
     hw, chain = cfg.decoder_seed_hw, cfg.decoder_chain
     want = []
     for e in emb:
@@ -582,10 +598,8 @@ def test_checkpoint_round_trip_learnable_tau(tmp_path):
     view = make_view(loaded)
     tau = losses.Temperature(0.07, learnable=True).resolve(view["log_tau"])
     rng = np.random.default_rng(6)
-    u = losses.EmbeddingBatch(view.tape.leaf(rng.standard_normal((3, 4))),
-                              losses.Modality.FUNDUS)
-    v = losses.EmbeddingBatch(view.tape.leaf(rng.standard_normal((3, 4))),
-                              losses.Modality.CAROTID)
+    u = view.tape.leaf(rng.standard_normal((3, 4)))
+    v = view.tape.leaf(rng.standard_normal((3, 4)))
     assert np.isfinite(losses.clip_loss(u, v, tau).item())
 
 
@@ -657,7 +671,7 @@ def test_no_backward_rule_captures_a_tensor(monkeypatch):
         images = rand_images(rng, 3, 8)
         emb = model.encode(view, TINY, images, modality)
         proj = model.project(view, TINY, emb, modality)
-        batches.append(losses.EmbeddingBatch(proj, losses.Modality(modality)))
+        batches.append(proj)
         measures = view.tape.leaf(rng.standard_normal((3, TINY.n_measures)))
         heads.append(losses.prediction_mse(
             measures, model.predict_measures(view, TINY, emb, modality)
