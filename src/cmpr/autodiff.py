@@ -3,9 +3,9 @@
 Only the operations the model and losses actually need are implemented;
 this is not a general autodiff framework.  Broadcasting is deliberately
 narrow: ``add`` and ``sub`` take two Tensors of equal shape; ``mul`` also
-takes a Python scalar or a 0-d Tensor; ``matmul`` batches over one shared
-leading dimension; ``add_bias`` adds a bias shaped like the trailing
-dims; and ``concat_rows`` stacks 2-D Tensors of one width along the rows.
+takes a Python scalar or a 0-d Tensor; ``matmul`` takes two 2-D operands;
+``add_bias`` adds a bias shaped like the trailing dims; and
+``concat_rows`` stacks 2-D Tensors of one width along the rows.
 Every op that computes new values checks them for NaN/Inf and raises
 instead of propagating garbage.  The shape ops (``reshape``,
 ``transpose``) do not: their value is a view of a checked input, or, when
@@ -17,17 +17,17 @@ the backward rules with numpy's floating-point warnings off and checks
 each leaf gradient once at the end, so a gradient that overflowed raises
 ``NonFiniteError`` naming the leaf; interior gradients go unchecked.
 
-Three outputs are not kept for ``linear``'s weight gradient but rebuilt
-when its rule runs (``Tensor.rebuild``): ``layer_norm`` recomputes
-``xhat * gamma + beta`` from its normalized input ``xhat`` and its
-parameters, ``gelu`` recomputes ``0.5 * x * (1 + t)`` from its input ``x``
-and tanh term ``t``, and the 3-D ``matmul`` recomputes ``a @ b`` from its
-operands; ``reshape`` passes a rebuild on.  The producer's own backward
-rule keeps those arrays anyway, and its forward value comes from the same
-expression, so a rebuild is bitwise equal to the forward value.
-``linear`` is the only op that consumes a rebuild; every other op keeps
-what it reads, and costlier outputs (the q/k/v projections, gelu's tanh)
-are kept, not recomputed.
+Two outputs are not kept for the weight gradients of ``linear`` and
+``attention`` but rebuilt when their rules run (``Tensor.rebuild``):
+``layer_norm`` recomputes ``xhat * gamma + beta`` from its normalized
+input ``xhat`` and its parameters, and ``gelu`` recomputes
+``0.5 * x * (1 + t)`` from its input ``x`` and tanh term ``t``.  The
+producer's own backward rule keeps those arrays anyway, and its forward
+value comes from the same expression, so a rebuild is bitwise equal to the
+forward value.  ``attention`` goes further: its rule keeps only the
+(N, T, T) softmax weights, and recomputes q/k/v and the context from its
+rebuilt input, bitwise as the forward computed them.  Every other op keeps
+what it reads; gelu's tanh term is kept, not recomputed.
 
 Importing this module sets glibc's heap policy for the process, once.  A
 dropped tape frees hundreds of activation arrays; by default glibc maps
@@ -113,9 +113,8 @@ class Tensor:
     the forward value computed for that node.  ``rebuild``, when not None,
     is a zero-argument function that returns an array bitwise equal to
     ``value`` from arrays the producing op's backward rule holds anyway;
-    ``linear`` keeps it in place of ``value``, so ``value`` is freed with
-    the Tensor.  ``layer_norm``, ``gelu`` and the 3-D ``matmul`` set it,
-    and ``reshape`` passes it on.
+    ``linear`` and ``attention`` keep it in place of ``value``, so
+    ``value`` is freed with the Tensor.  ``layer_norm`` and ``gelu`` set it.
     """
 
     __slots__ = ("tape", "index", "value", "rebuild")
@@ -382,25 +381,22 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for two 2-D operands, or two 3-D operands batched over a
-    shared leading dimension: (B, M, K) @ (B, K, N)."""
+    """``a @ b`` for two 2-D operands."""
     tape = _same_tape(a, b)
-    if a.value.ndim not in (2, 3) or b.value.ndim != a.value.ndim:
+    if a.value.ndim != 2 or b.value.ndim != 2:
         raise DimensionError(
-            f"matmul expects two 2-D or two 3-D operands, got {a.shape} and {b.shape}"
+            f"matmul expects two 2-D operands, got {a.shape} and {b.shape}"
         )
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+    if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shapes {a.shape} vs {b.shape}")
     av, bv = a.value, b.value
     with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFiniteError
         out = av @ bv
 
     def bwd(g):
-        return g @ bv.swapaxes(-1, -2), av.swapaxes(-1, -2) @ g
+        return g @ bv.T, av.T @ g
 
-    # only the batched form: attention's context is the one a linear reads
-    rebuild = (lambda: av @ bv) if av.ndim == 3 else None
-    return tape.record("matmul", out, (a.index, b.index), bwd, rebuild)
+    return tape.record("matmul", out, (a.index, b.index), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -469,11 +465,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
     orig = a.value.shape
     out = a.value.reshape(shape)
-    base = a.rebuild
-    rebuild = None if base is None else (lambda: base().reshape(shape))
-    return a.tape.append(
-        "reshape", out, (a.index,), lambda g: (g.reshape(orig),), rebuild
-    )
+    return a.tape.append("reshape", out, (a.index,), lambda g: (g.reshape(orig),))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -528,12 +520,18 @@ def row_l2_normalize(x: Tensor) -> Tensor:
 
 
 def row_logsumexp(x: Tensor) -> Tensor:
-    """log(sum(exp(row))) per row, with max-subtraction for stability."""
+    """log(sum(exp(row))) per row, with max-subtraction for stability.
+
+    A transposed input is copied to rows first, so each row is summed in
+    the order of a contiguous row, and the result is bitwise that of the
+    transposed matrix's contiguous copy.
+    """
     if x.value.ndim != 2:
         raise DimensionError(f"row_logsumexp expects 2-D, got {x.shape}")
-    m = np.max(x.value, axis=1, keepdims=True)
+    xv = np.ascontiguousarray(x.value)
+    m = np.max(xv, axis=1, keepdims=True)
     with np.errstate(over="ignore"):  # x - m overflows only to -inf; exp gives 0
-        e = np.exp(x.value - m)
+        e = np.exp(xv - m)
     s = np.sum(e, axis=1, keepdims=True)
     out = (m + np.log(s)).reshape(-1)
     soft = e / s
@@ -558,18 +556,85 @@ def take_diagonal(x: Tensor) -> Tensor:
     return x.tape.record("take_diagonal", out, (x.index,), bwd)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    m = np.max(x.value, axis=-1, keepdims=True)
-    with np.errstate(over="ignore"):  # x - m overflows only to -inf; exp gives 0
-        e = np.exp(x.value - m)
-    s = e / np.sum(e, axis=-1, keepdims=True)
+def attention(
+    x: Tensor, ws: Sequence[Tensor], bs: Sequence[Tensor], n: int
+) -> Tensor:
+    """Single-head self-attention within each of ``n`` samples, as one node.
+
+    ``x`` is the (n*T, D) token matrix, ``ws`` the (D, D) weights ``wq``,
+    ``wk``, ``wv``, ``wo`` and ``bs`` their (D,) biases.  One gemm of ``x``
+    by ``[wq|wk|wv]`` gives the q/k/v block; per sample the output is
+    ``softmax(q k^T / sqrt(D)) v``, then ``@ wo + bo``.
+
+    The rule keeps the (n, T, T) softmax weights, the parameter values and
+    ``x``'s rebuild (``x``'s value if it has none), and no other (n*T, D)
+    array: it recomputes q/k/v from ``x``, bitwise as the forward did, and
+    the context from them.  The gradients of q, k and v are filled into one
+    (n*T, 3D) block, so ``x``'s comes from one gemm and the three weights'
+    from one ``x.T @ g``.
+    """
+    tape = _same_tape(x, *ws, *bs)
+    if len(ws) != 4 or len(bs) != 4:
+        raise ContractError(
+            f"attention takes 4 weights and 4 biases, got {len(ws)} and {len(bs)}"
+        )
+    if x.value.ndim != 2:
+        raise DimensionError(f"attention expects a 2-D x, got {x.shape}")
+    rows, d = x.shape
+    if n < 1 or rows % n:
+        raise DimensionError(f"attention cannot split {rows} rows into {n} samples")
+    if any(w.shape != (d, d) for w in ws) or any(b.shape != (d,) for b in bs):
+        raise DimensionError(
+            f"attention weights {[w.shape for w in ws]} and biases "
+            f"{[b.shape for b in bs]} for x {x.shape}"
+        )
+    t = rows // n
+    xv = x.value
+    wvals, bvals = [w.value for w in ws], [b.value for b in bs]
+    scale = 1.0 / math.sqrt(d)
+
+    def project(xv):
+        """[wq|wk|wv], the (n*T, 3D) q/k/v block and its three (n, T, D) views."""
+        w3 = np.concatenate(wvals[:3], axis=1)
+        qkv = xv @ w3
+        qkv += np.concatenate(bvals[:3])
+        return w3, qkv, [p.reshape(n, t, d) for p in np.split(qkv, 3, axis=1)]
+
+    with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFiniteError
+        _, qkv, (q, k, v) = project(xv)
+        _check_finite(qkv, "attention")
+        a = q @ k.swapaxes(1, 2)
+        a *= scale
+        # a - max overflows only to -inf, whose exp is exactly 0
+        a -= a.max(axis=-1, keepdims=True)
+        np.exp(a, out=a)
+        a /= a.sum(axis=-1, keepdims=True)
+        out = (a @ v).reshape(rows, d) @ wvals[3]
+        out += bvals[3]
+    x_again = x.rebuild or (lambda: xv)
 
     def bwd(g):
-        inner = np.sum(g * s, axis=-1, keepdims=True)
-        return (s * (g - inner),)
+        xr = x_again()
+        w3, qkv, (q, k, v) = project(xr)
+        ctx = (a @ v).reshape(rows, d)
+        dctx = (g @ wvals[3].T).reshape(n, t, d)
+        ds = dctx @ v.swapaxes(1, 2)  # d softmax weights, then d scores
+        ds -= (ds * a).sum(axis=-1, keepdims=True)
+        ds *= a
+        ds *= scale
+        dqkv = np.empty_like(qkv)
+        dq, dk, dv = (p.reshape(n, t, d) for p in np.split(dqkv, 3, axis=1))
+        dq[...] = ds @ k
+        dk[...] = ds.swapaxes(1, 2) @ q
+        dv[...] = a.swapaxes(1, 2) @ dctx
+        return (
+            dqkv @ w3.T,
+            *np.split(xr.T @ dqkv, 3, axis=1), ctx.T @ g,
+            *np.split(dqkv.sum(axis=0), 3), g.sum(axis=0),
+        )
 
-    return x.tape.record("softmax", s, (x.index,), bwd)
+    parents = (x.index, *(w.index for w in ws), *(b.index for b in bs))
+    return tape.record("attention", out, parents, bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

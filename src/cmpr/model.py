@@ -2,9 +2,10 @@
 
 Per modality: a small pre-norm vision transformer (patch embedding +
 learned positions, single-head self-attention blocks on the flat (N*T, D)
-token matrix, mean-pooled tokens), a linear projection head for the
-contrastive space, a 2-layer GELU MLP for measure prediction, and a
-decoder for reconstruction: a linear seed feature map, then transposed
+token matrix, each attention sublayer one ``attention`` tape node,
+mean-pooled tokens), a linear projection head for the contrastive space,
+a 2-layer GELU MLP for measure prediction, and a decoder for
+reconstruction: a linear seed feature map, then transposed
 convolutions with kernel 2 and stride 2, each built as a matmul and a
 pixel shuffle, with GELU between them.
 
@@ -24,7 +25,6 @@ tiles.  A batch of one tile records exactly the untiled tape.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -240,15 +240,8 @@ def _linear(view: ParamView, x: Tensor, prefix: str, tag: str = "") -> Tensor:
 
 def _attention(view: ParamView, prefix: str, x: Tensor, n: int) -> Tensor:
     """Single-head self-attention within each of the n samples of ``x``."""
-    t, d = x.shape[0] // n, x.shape[1]
-
-    def project(tag):
-        return ad.reshape(_linear(view, x, prefix, tag), (n, t, d))
-
-    q, k, v = project("q"), project("k"), project("v")
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d))
-    ctx = ad.reshape(ad.matmul(ad.softmax(scores), v), (n * t, d))
-    return _linear(view, ctx, prefix, "o")
+    return ad.attention(x, [view[f"{prefix}.w{p}"] for p in "qkvo"],
+                        [view[f"{prefix}.b{p}"] for p in "qkvo"], n)
 
 
 def _mlp(view: ParamView, prefix: str, x: Tensor) -> Tensor:

@@ -2,6 +2,7 @@
 
 import ctypes
 import gc
+import math
 import os
 import platform
 import subprocess
@@ -92,7 +93,7 @@ def test_matmul_seeded_against_triple_loop():
 
 
 def test_matmul_shape_mismatch():
-    # inner dims, then a batch mismatch and mixed 2-D/3-D operands
+    # inner dims, then 3-D and mixed 2-D/3-D operands: matmul is 2-D only
     cases = [((2, 3), (2, 3)), ((2, 3, 4), (3, 4, 5)), ((2, 3, 4), (4, 5)),
              ((3, 4), (2, 4, 5))]
     tape = ad.Tape()
@@ -230,6 +231,17 @@ def test_overflowing_output_raises_nonfinite(name, op, inputs):
         op(*[tape.leaf(v) for v in inputs])
 
 
+# C * C / sqrt(2) is 1e308 up to rounding, and C * C is finite
+_C = math.sqrt(math.sqrt(2.0) * 1e308)
+
+
+def _attention_of_weights(x, w):
+    """Attention with ``w`` as both wq and wk, identity wv and wo and zero
+    biases: with ``x`` the identity too, the output is the softmax weights."""
+    eye, zero = x.tape.leaf(np.eye(2)), x.tape.leaf(np.zeros(2))
+    return ad.attention(x, [w, w, eye, eye], [zero] * 4, 1)
+
+
 @pytest.mark.parametrize(
     "op, inputs, want",
     [
@@ -240,7 +252,7 @@ def test_overflowing_output_raises_nonfinite(name, op, inputs):
         (lambda x: ad.mean_axis(x, 1), ([[1e308, 1e308], [0.1, 0.2]],),
          np.array([1e308, np.mean([0.1, 0.2])])),
         (ad.mean_all, ([1e308, 1e308],), np.array(1e308)),
-        (ad.softmax, ([[1e308, -1e308]],), np.array([[1.0, 0.0]])),
+        (_attention_of_weights, (np.eye(2), [[_C, 0.0], [-_C, 0.0]]), np.eye(2)),
         (ad.row_logsumexp, ([[1e308, -1e308]],), np.array([1e308])),
     ],
     ids=["layer_norm_variance", "gelu_cubic", "gelu_product", "mean_axis_sum",
@@ -250,7 +262,8 @@ def test_overflow_inside_an_op(op, inputs, want):
     # an intermediate that overflows ends in the op's own answer, never in
     # numpy's RuntimeWarning: the op's value where that is finite (tanh
     # saturates gelu's infinite cubic, a mean is finite though its sum is
-    # not, and x - max(x) overflows only to -inf, whose exp is exactly 0),
+    # not, and x - max(x) overflows only to -inf, whose exp is exactly 0:
+    # attention's scores of +-1e308 give the one-hot softmax),
     # else NonFiniteError naming the op (an infinite variance would scale
     # every entry to zero); the row whose sum did not overflow keeps the
     # plain mean's bits
@@ -399,63 +412,138 @@ def test_gelu_and_layer_norm_leave_inputs_intact():
 def test_second_backward_is_bitwise_equal():
     # a backward rule that wrote into an array its closure captured, or
     # into one a rebuild reads, would change the second pass; linear
-    # rebuilds its layer_norm, gelu and 3-D matmul inputs
+    # rebuilds its layer_norm and gelu inputs, and attention rebuilds its
+    # gelu input and recomputes q/k/v and the context from it
     rng = np.random.default_rng(33)
     tape = ad.Tape()
-    names = ["x", "gamma", "beta", "w", "b", "a"]
-    shapes = [(2, 3, 6), (6,), (6,), (6, 6), (6,), (2, 6, 6)]
-    x, gamma, beta, w, b, a = (
+    names = ["x", "gamma", "beta", "w", "b"]
+    shapes = [(6, 6), (6,), (6,), (6, 6), (6,)]
+    x, gamma, beta, w, b = (
         tape.leaf(rng.standard_normal(s), name=n) for n, s in zip(names, shapes)
     )
-    normed = ad.reshape(ad.layer_norm(x, gamma, beta), (6, 6))
+    aw = [tape.leaf(rng.standard_normal((6, 6)), name=f"w{p}") for p in "qkvo"]
+    ab = [tape.leaf(rng.standard_normal(6), name=f"b{p}") for p in "qkvo"]
+    normed = ad.layer_norm(x, gamma, beta)
     hdn = ad.gelu(ad.linear(normed, w, b))
-    ctx = ad.reshape(ad.matmul(ad.reshape(hdn, (2, 3, 6)), a), (6, 6))
+    ctx = ad.attention(hdn, aw, ab, 2)
     out = ad.add(ad.linear(hdn, w, b), ad.linear(ctx, w, b))
     loss = sum_all(ad.mul(out, tape.leaf(rng.standard_normal((6, 6)))))
     first = ad.backward(tape, loss)
     second = ad.backward(tape, loss)
-    for t in (x, gamma, beta, w, b, a):
+    for t in (x, gamma, beta, w, b, *aw, *ab):
         assert first.of(t).tobytes() == second.of(t).tobytes()
 
 
-# each makes the (6, 4) input of a linear layer
-PRODUCERS = {
-    "layer_norm": lambda tape, rng: ad.layer_norm(
+def _layer_norm_out(tape, rng):
+    return ad.layer_norm(
         tape.leaf(rng.standard_normal((6, 4))),
         tape.leaf(rng.standard_normal(4) + 1.0),
         tape.leaf(rng.standard_normal(4)),
-    ),
-    "gelu": lambda tape, rng: ad.gelu(tape.leaf(2.0 * rng.standard_normal((6, 4)))),
-    "matmul_3d": lambda tape, rng: ad.reshape(
-        ad.matmul(tape.leaf(rng.standard_normal((2, 3, 5))),
-                  tape.leaf(rng.standard_normal((2, 5, 4)))),
-        (6, 4),
-    ),
+    )
+
+
+def _linear_reader(tape, rng):
+    w = tape.leaf(rng.standard_normal((4, 3)))
+    b = tape.leaf(rng.standard_normal(3))
+    return lambda h: ad.linear(h, w, b)
+
+
+def _attention_reader(tape, rng):
+    ws = [tape.leaf(rng.standard_normal((4, 4))) for _ in range(4)]
+    bs = [tape.leaf(rng.standard_normal(4)) for _ in range(4)]
+    return lambda h: ad.attention(h, ws, bs, 2)
+
+
+# each makes a (6, 4) input, and the op that reads it
+PRODUCERS = {
+    "layer_norm": (_layer_norm_out, _linear_reader),
+    "gelu": (lambda tape, rng: ad.gelu(tape.leaf(2.0 * rng.standard_normal((6, 4)))),
+             _linear_reader),
+    "attention": (_layer_norm_out, _attention_reader),
 }
 
 
-@pytest.mark.parametrize("produce", PRODUCERS.values(), ids=PRODUCERS.keys())
-def test_linear_rebuilds_its_input_instead_of_keeping_it(produce):
-    # the producer's output is freed with its Tensor while the linear that
-    # read it stays on the tape, and the linear's rule still gives bitwise
-    # what it gives for a leaf holding a copy of that output
+@pytest.mark.parametrize("produce, reader", PRODUCERS.values(), ids=PRODUCERS.keys())
+def test_linear_rebuilds_its_input_instead_of_keeping_it(produce, reader):
+    # the producer's output is freed with its Tensor while the linear (or
+    # attention) that read it stays on the tape, and the reader's rule
+    # still gives bitwise what it gives for a leaf holding a copy of that
+    # output
     rng = np.random.default_rng(7)
     tape = ad.Tape()
     h = produce(tape, rng)
-    w = tape.leaf(rng.standard_normal((4, 3)))
-    b = tape.leaf(rng.standard_normal(3))
-    y = ad.linear(h, w, b)
-    y_leaf = ad.linear(tape.leaf(h.value.copy()), w, b)
+    read = reader(tape, rng)
+    y = read(h)
+    y_leaf = read(tape.leaf(h.value.copy()))
     outputs = [weakref.ref(v) for v in (h.value, h.value.base) if v is not None]
     del h
     gc.collect()
     assert all(ref() is None for ref in outputs)
-    g = rng.standard_normal((6, 3))
+    g = rng.standard_normal(y.shape)
     got = tape.nodes[y.index].backward_fn(g)
     want = tape.nodes[y_leaf.index].backward_fn(g)
     assert y.value.tobytes() == y_leaf.value.tobytes()
     for dgot, dwant in zip(got, want, strict=True):
         assert dgot.shape == dwant.shape and dgot.tobytes() == dwant.tobytes()
+
+
+def _held_arrays(fn, skip):
+    """Arrays a function keeps through its closure cells, walked as
+    ``test_no_backward_rule_captures_a_tensor`` walks them, into the lists
+    and functions it holds too, but not into the objects in ``skip``."""
+    found, cells = [], list(fn.__closure__ or ())
+    while cells:
+        held = cells.pop().cell_contents
+        if any(held is s for s in skip):
+            continue
+        if isinstance(held, np.ndarray):
+            found.append(held)
+        elif isinstance(held, (list, tuple)):
+            cells.extend(_Cell(item) for item in held)
+        cells.extend(getattr(held, "__closure__", None) or ())
+    return found
+
+
+class _Cell:
+    __slots__ = ("cell_contents",)
+
+    def __init__(self, value):
+        self.cell_contents = value
+
+
+def test_attention_rule_keeps_only_its_softmax_weights(monkeypatch):
+    # n = 2 samples of T = 3 tokens of width D = 8, so any (n*T, D) array
+    # the rule kept would be larger than the (n, T, T) softmax weights
+    n, t, d = 2, 3, 8
+    rng = np.random.default_rng(34)
+    checked = []
+
+    def check_finite(arr, op):
+        if op == "attention" and arr.shape == (n * t, 3 * d):
+            checked.append(weakref.ref(arr))
+        return real_check_finite(arr, op)
+
+    real_check_finite = ad._check_finite
+    monkeypatch.setattr(ad, "_check_finite", check_finite)
+    tape = ad.Tape()
+    x = ad.layer_norm(tape.leaf(rng.standard_normal((n * t, d))),
+                      tape.leaf(np.ones(d)), tape.leaf(np.zeros(d)))
+    ws = [tape.leaf(rng.standard_normal((d, d))) for _ in range(4)]
+    bs = [tape.leaf(rng.standard_normal(d)) for _ in range(4)]
+    y = ad.attention(x, ws, bs, n)
+    gc.collect()
+    # the forward's q/k/v block was checked, and is freed once the op returns
+    assert len(checked) == 1 and checked[0]() is None
+    # the parameter values are the leaves', and x's rebuild is the
+    # layer_norm's, whose own rule holds its arrays anyway
+    rule = tape.nodes[y.index].backward_fn
+    params = [p.value for p in (*ws, *bs)]
+    held = _held_arrays(rule, [x.rebuild, *params])
+    largest = max(held, key=lambda arr: arr.size)
+    assert largest.shape == (n, t, t)
+    np.testing.assert_allclose(largest.sum(axis=-1), 1.0, rtol=1e-12)
+    assert [arr.shape for arr in held] == [(n, t, t)]
+    assert any(c.cell_contents is x.rebuild for c in rule.__closure__)
 
 
 def test_exp_log_round_trip():
@@ -767,9 +855,9 @@ def test_grad_softmax_logsumexp_diag(seed):
     r2 = rng.standard_normal(5)
 
     def build(tape, p):
-        s = ad.softmax(p["x"])
+        # row_logsumexp's rule multiplies by the row softmax
         lse = ad.row_logsumexp(p["x"])
-        d = ad.take_diagonal(ad.mul(s, tape.leaf(r)))
+        d = ad.take_diagonal(ad.mul(p["x"], tape.leaf(r)))
         return ad.add(
             sum_all(ad.mul(lse, tape.leaf(r2))), sum_all(ad.mul(d, d))
         )
@@ -796,20 +884,19 @@ def test_grad_layer_norm(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_grad_bmm_transpose_reshape(seed):
+def test_grad_attention(seed):
+    # n = 2 samples of T = 3 tokens of width D = 4
     rng = np.random.default_rng(seed)
-    params = {
-        "q": rng.standard_normal((2, 3, 4)),
-        "k": rng.standard_normal((2, 3, 4)),
-    }
-    r = rng.standard_normal((2, 3, 3))
+    params = {"x": rng.standard_normal((6, 4))}
+    for p in "qkvo":
+        params[f"w{p}"] = rng.standard_normal((4, 4))
+        params[f"b{p}"] = rng.standard_normal(4)
+    r = rng.standard_normal((6, 4))
 
     def build(tape, p):
-        # batched (3-D) matmul, as attention runs it
-        scores = ad.matmul(p["q"], ad.transpose(p["k"], (0, 2, 1)))
-        a = ad.softmax(ad.mul(scores, 0.5))
-        flat = ad.reshape(a, (2 * 3, 3))
-        return sum_all(ad.mul(flat, tape.leaf(r.reshape(6, 3))))
+        ws = [p[f"w{q}"] for q in "qkvo"]
+        bs = [p[f"b{q}"] for q in "qkvo"]
+        return sum_all(ad.mul(ad.attention(p["x"], ws, bs, 2), tape.leaf(r)))
 
     fd_check(build, params)
 

@@ -117,29 +117,31 @@ def test_contrastive_single_pair_is_exactly_zero():
     tape = ad.Tape()
     u = tape.leaf([[1.0, 2.0, 3.0]])
     v = tape.leaf([[0.5, -1.0, 2.0]])
-    assert losses.contrastive_loss(u, v, 0.07).item() == 0.0
+    assert losses.clip_loss(u, v, 0.07).item() == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_contrastive_equal_similarities_is_log_n(n):
-    # identical rows make every pairwise similarity 1, so softmax is uniform
+    # identical rows make every pairwise similarity 1, so softmax is
+    # uniform in both directions
     row = np.array([0.3, -1.2, 0.8, 2.0])
     u = np.tile(row, (n, 1))
     tape = ad.Tape()
-    loss = losses.contrastive_loss(tape.leaf(u), tape.leaf(u), 0.07)
+    loss = losses.clip_loss(tape.leaf(u), tape.leaf(u), 0.07)
     assert abs(loss.item() - math.log(n)) < 1e-12
 
 
 def test_contrastive_seeded_matches_extended_precision_oracle():
-    # frozen from a 50-digit mpmath evaluation of the direct formula
-    expected = 6.147644063890427
+    # frozen from a 50-digit mpmath evaluation of the direct formula: the
+    # u -> v direction, and the mean of both directions
+    expected_forward, expected = 6.147644063890427, 6.295203646692596
     rng = np.random.default_rng(7)
     u = rng.standard_normal((5, 8))
     v = rng.standard_normal((5, 8))
     tape = ad.Tape()
-    got = losses.contrastive_loss(tape.leaf(u), tape.leaf(v), 0.07).item()
+    got = losses.clip_loss(tape.leaf(u), tape.leaf(v), 0.07).item()
     assert abs(got - expected) < 1e-10
-    assert abs(contrastive_direct(u, v, 0.07) - expected) < 1e-10
+    assert abs(contrastive_direct(u, v, 0.07) - expected_forward) < 1e-10
 
 
 def test_contrastive_nonpositive_tau_rejected():
@@ -148,7 +150,7 @@ def test_contrastive_nonpositive_tau_rejected():
     v = tape.leaf(np.eye(2))
     for tau in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
-            losses.contrastive_loss(u, v, tau)
+            losses.clip_loss(u, v, tau)
         with pytest.raises(DomainError):
             Temperature(tau=tau)
 
@@ -169,9 +171,9 @@ def test_contrastive_scale_invariance():
     u = rng.standard_normal((6, 5))
     v = rng.standard_normal((6, 5))
     tape = ad.Tape()
-    base = losses.contrastive_loss(tape.leaf(u), tape.leaf(v), 0.07).item()
+    base = losses.clip_loss(tape.leaf(u), tape.leaf(v), 0.07).item()
     for alpha, beta in [(2.0, 3.0), (0.01, 7.0), (123.0, 0.4)]:
-        scaled = losses.contrastive_loss(
+        scaled = losses.clip_loss(
             tape.leaf(alpha * u), tape.leaf(beta * v), 0.07).item()
         assert abs(scaled - base) < 1e-10
 
@@ -183,12 +185,12 @@ def test_contrastive_nonnegative_and_near_zero_at_small_tau():
         u = r.standard_normal((5, 7))
         v = r.standard_normal((5, 7))
         tape = ad.Tape()
-        val = losses.contrastive_loss(tape.leaf(u), tape.leaf(v), 0.07).item()
+        val = losses.clip_loss(tape.leaf(u), tape.leaf(v), 0.07).item()
         assert val >= 0.0
     # near-one-hot: orthonormal rows, diagonal similarity 1, off-diagonal 0
     eye = np.eye(4, 8)
     tape = ad.Tape()
-    tiny = losses.contrastive_loss(tape.leaf(eye), tape.leaf(eye), 0.01).item()
+    tiny = losses.clip_loss(tape.leaf(eye), tape.leaf(eye), 0.01).item()
     assert 0.0 <= tiny < 1e-3
     del rng
 
@@ -199,8 +201,8 @@ def test_contrastive_permutation_equivariance():
     v = rng.standard_normal((6, 5))
     perm = rng.permutation(6)
     tape = ad.Tape()
-    base = losses.contrastive_loss(tape.leaf(u), tape.leaf(v), 0.07).item()
-    permuted = losses.contrastive_loss(tape.leaf(u[perm]), tape.leaf(v[perm]), 0.07)
+    base = losses.clip_loss(tape.leaf(u), tape.leaf(v), 0.07).item()
+    permuted = losses.clip_loss(tape.leaf(u[perm]), tape.leaf(v[perm]), 0.07)
     assert abs(base - permuted.item()) < 1e-12
 
 
@@ -219,7 +221,7 @@ def test_clip_loss_self_pair_equals_directional():
     tape = ad.Tape()
     ub, ub2 = tape.leaf(u), tape.leaf(u)
     clip = losses.clip_loss(ub, ub2, 1.0).item()
-    single = losses.contrastive_loss(ub, ub2, 1.0).item()
+    single = contrastive_direct(u, u, 1.0)
     assert abs(clip - single) < 1e-15
 
 
@@ -241,8 +243,8 @@ def test_learnable_temperature_path():
     u = rng.standard_normal((4, 5))
     v = rng.standard_normal((4, 5))
     ub, vb = tape.leaf(u), tape.leaf(v)
-    live = losses.contrastive_loss(ub, vb, temp.resolve(log_tau))
-    fixed = losses.contrastive_loss(ub, vb, 0.07)
+    live = losses.clip_loss(ub, vb, temp.resolve(log_tau))
+    fixed = losses.clip_loss(ub, vb, 0.07)
     assert abs(live.item() - fixed.item()) < 1e-12
     grads = ad.backward(tape, live)
     g = grads.of(log_tau)

@@ -293,25 +293,24 @@ class _ValueTape(ad.Tape):
     "cfg, n_images, counts",
     [
         (TINY, 2,
-         {"leaf": 22, "linear": 8, "reshape": 7, "add_bias": 1,
-          "transpose": 1, "matmul": 2, "scale": 1, "softmax": 1,
-          "layer_norm": 2, "add": 2, "gelu": 1, "mean_axis": 1}),
+         {"leaf": 22, "linear": 4, "reshape": 3, "add_bias": 1,
+          "attention": 1, "layer_norm": 2, "add": 2, "gelu": 1,
+          "mean_axis": 1}),
         (dataclasses.replace(TINY, patch_size=2, embed_dim=6, depth=2), 2,
-         {"leaf": 38, "linear": 14, "reshape": 11, "add_bias": 1,
-          "transpose": 2, "matmul": 4, "scale": 2, "softmax": 2,
-          "layer_norm": 4, "add": 4, "gelu": 2, "mean_axis": 1}),
+         {"leaf": 38, "linear": 6, "reshape": 3, "add_bias": 1,
+          "attention": 2, "layer_norm": 4, "add": 4, "gelu": 2,
+          "mean_axis": 1}),
         # tiles of 2 images: 2 + 2 + 1
         (TINY, 5,
-         {"leaf": 24, "linear": 22, "reshape": 21, "add_bias": 3,
-          "transpose": 3, "matmul": 6, "scale": 3, "softmax": 3,
-          "layer_norm": 6, "add": 6, "gelu": 3, "mean_axis": 3,
-          "concat_rows": 1}),
+         {"leaf": 24, "linear": 10, "reshape": 9, "add_bias": 3,
+          "attention": 3, "layer_norm": 6, "add": 6, "gelu": 3,
+          "mean_axis": 3, "concat_rows": 1}),
     ],
     ids=["tiny", "depth2", "tiny_3tiles"],
 )
 def test_encode_project_tape(cfg, n_images, counts, monkeypatch):
-    # per block: 16 parameter leaves; q/k/v/o and the two MLP layers are
-    # one linear node each; q/k/v and the attention context are reshaped.
+    # per block: 16 parameter leaves; the attention sublayer is one
+    # attention node and the two MLP layers are one linear node each.
     # Around the blocks: the pixel, patch and position leaves, the patch
     # linear, the position add_bias, three reshapes, the pool, and the
     # projection's two leaves and linear.  Each further tile repeats all
@@ -518,7 +517,8 @@ def encoder_projection_fd(seed, n_images):
     images = rand_images(rng, n_images, 8)
     base = model.init_params(TINY, seed=seed)
     names = [
-        "fundus.patch.w", "fundus.pos", "fundus.block0.attn.wq",
+        "fundus.patch.w", "fundus.pos",
+        *(f"fundus.block0.attn.{w}{p}" for w in "wb" for p in "qkvo"),
         "fundus.block0.ln1.g", "fundus.block0.mlp.w1", "fundus.proj.w",
     ]
     subset = {k: base.arrays[k].copy() for k in names}
