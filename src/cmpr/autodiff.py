@@ -17,6 +17,11 @@ the backward rules with numpy's floating-point warnings off and checks
 each leaf gradient once at the end, so a gradient that overflowed raises
 ``NonFiniteError`` naming the leaf; interior gradients go unchecked.
 
+A replayed tape is bitwise equal to the first run only at the same BLAS
+thread count: OpenBLAS splits a gemm's sums by thread, so ``matmul``,
+``linear`` and all that reads them can round otherwise on another count.
+``cmprbench`` pins the count to 1.
+
 Two outputs are not kept for the weight gradients of ``linear`` and
 ``attention`` but rebuilt when their rules run (``Tensor.rebuild``):
 ``layer_norm`` recomputes ``xhat * gamma + beta`` from its normalized
@@ -312,22 +317,10 @@ def mul(a: Tensor, b) -> Tensor:
     return tape.record("mul", out, (a.index, b.index), bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    return a.tape.record("neg", -a.value, (a.index,), lambda g: (-g,))
-
-
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
         out = np.exp(a.value)
     return a.tape.record("exp", out, (a.index,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.value <= 0.0):
-        raise DomainError("log of non-positive value")
-    av = a.value
-    out = np.log(av)
-    return a.tape.record("log", out, (a.index,), lambda g: (g / av,))
 
 
 def gelu(a: Tensor) -> Tensor:

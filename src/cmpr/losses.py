@@ -1,9 +1,11 @@
 """The multi-objective loss stack.
 
 Four symmetric contrastive terms over pairs of (N, D) embedding Tensors,
-two measure-prediction MSE terms, two reconstruction MSE terms, and their
-weighted aggregation into a per-step report.  All functions here are pure
-and operate on tape tensors so gradients flow through every term.
+their cosine similarities scaled by the inverse temperature 1/tau that
+``Temperature`` resolves, two measure-prediction MSE terms, two
+reconstruction MSE terms, and their weighted aggregation into a per-step
+report.  All functions here are pure and operate on tape tensors so
+gradients flow through every term.
 
 The loss math takes plain Tensors.  The modality and view tags of
 ``EmbeddingBatch`` exist only for ``instantiate_contrastive``, which checks
@@ -63,35 +65,36 @@ class EmbeddingBatch:
     view_tag: View = View.PLAIN
 
 
-def _checked_tau(tau: float) -> float:
-    if not is_real(tau):
-        raise ContractError(f"temperature must be a real number, got {tau!r}")
-    if not 0.0 < tau < math.inf:
-        raise DomainError(f"temperature must be positive and finite, got {tau}")
-    return tau
+def _checked_tau(value: float, what: str) -> float:
+    if not is_real(value):
+        raise ContractError(f"{what} must be a real number, got {value!r}")
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} must be positive and finite, got {value}")
+    return value
 
 
 @dataclass
 class Temperature:
-    """Softmax temperature; positive always, learnable via log-parameterization."""
+    """Softmax temperature tau, positive and finite; a learnable one is
+    stored as its log.  ``resolve`` hands the losses 1/tau."""
 
     tau: float = 0.07
     learnable: bool = False
 
     def __post_init__(self):
-        _checked_tau(self.tau)
+        _checked_tau(self.tau, "temperature")
 
     def initial_param(self) -> np.ndarray:
         return np.asarray(math.log(self.tau), dtype=np.float64)
 
     def resolve(self, log_tau: Tensor | None = None) -> float | Tensor:
-        """The tau to feed the losses: a float when fixed, the exp of the
-        live log-tau leaf when learnable."""
+        """1/tau for the losses: ``1.0 / tau`` when fixed, ``exp(-log_tau)``
+        of the live log-tau leaf when learnable."""
         if not self.learnable:
-            return self.tau
+            return 1.0 / self.tau
         if log_tau is None:
             raise ContractError("learnable temperature needs its log-tau tensor")
-        return ad.exp(log_tau)
+        return ad.exp(ad.mul(log_tau, -1.0))
 
 
 @dataclass
@@ -151,13 +154,6 @@ def cosine_similarity_matrix(u: Tensor, v: Tensor) -> Tensor:
     return ad.matmul(un, ad.transpose(vn, (1, 0)))
 
 
-def _scaled_logits(sim: Tensor, tau: float | Tensor) -> Tensor:
-    if isinstance(tau, Tensor):
-        inv = ad.exp(ad.neg(ad.log(tau)))
-        return ad.mul(sim, inv)
-    return ad.mul(sim, 1.0 / _checked_tau(tau))
-
-
 def _rows_against_diagonal(logits: Tensor) -> Tensor:
     """Mean over rows of -log softmax(row) at the diagonal.
 
@@ -169,8 +165,11 @@ def _rows_against_diagonal(logits: Tensor) -> Tensor:
     return ad.mean_all(ad.sub(lse, diag))
 
 
-def clip_loss(u: Tensor, v: Tensor, tau: float | Tensor) -> Tensor:
+def clip_loss(u: Tensor, v: Tensor, inv_tau: float | Tensor) -> Tensor:
     """Symmetric contrastive loss: mean of the two row-wise directions.
+
+    The logits are the cosine similarities times ``inv_tau`` = 1/tau, a
+    positive finite float or 0-d Tensor.
 
     One similarity matrix serves both: the reverse direction reads the
     rows of the transposed logits.  ``row_logsumexp`` reduces a transposed
@@ -180,7 +179,10 @@ def clip_loss(u: Tensor, v: Tensor, tau: float | Tensor) -> Tensor:
     thread or two, for every N up to 128 at the default D = 32, but not
     at every larger N.
     """
-    logits = _scaled_logits(cosine_similarity_matrix(u, v), tau)
+    # a 0-d Tensor's [()] is a numpy float; any other shape is no number
+    _checked_tau(inv_tau.value[()] if isinstance(inv_tau, Tensor) else inv_tau,
+                 "inverse temperature")
+    logits = ad.mul(cosine_similarity_matrix(u, v), inv_tau)
     forward = _rows_against_diagonal(logits)
     reverse = _rows_against_diagonal(ad.transpose(logits, (1, 0)))
     return ad.mul(ad.add(forward, reverse), 0.5)
@@ -210,7 +212,7 @@ _PAIRINGS: dict[str, tuple[str, tuple[Modality, View], tuple[Modality, View]]] =
 def instantiate_contrastive(
     pairing: str,
     batches: tuple[EmbeddingBatch, EmbeddingBatch],
-    tau: float | Tensor,
+    inv_tau: float | Tensor,
 ) -> tuple[str, Tensor]:
     """Validate tags for one of the four pairings and return the named term."""
     if pairing not in _PAIRINGS:
@@ -224,7 +226,7 @@ def instantiate_contrastive(
                 f"{want[1].value}, got {batch.modality_tag.value}/"
                 f"{batch.view_tag.value}"
             )
-    return name, clip_loss(u.values, v.values, tau)
+    return name, clip_loss(u.values, v.values, inv_tau)
 
 
 def prediction_mse(m: Tensor, m_hat: Tensor) -> Tensor:

@@ -20,6 +20,8 @@ from cmpr.losses import (
 
 from oracles import assert_grads_close
 
+INV_TAU = 1.0 / 0.07  # the inverse temperature at tau = 0.07, bitwise
+
 
 def mkbatch(tape, values, modality=Modality.FUNDUS, view=View.PLAIN):
     """A tagged batch, for the pairing checks of ``instantiate_contrastive``."""
@@ -79,7 +81,7 @@ def test_cosine_matches_scalar_oracle():
 
 @pytest.mark.parametrize("fn", [
     losses.cosine_similarity_matrix,
-    functools.partial(losses.clip_loss, tau=0.07),
+    functools.partial(losses.clip_loss, inv_tau=INV_TAU),
 ], ids=["cosine", "clip"])
 @pytest.mark.parametrize("u_shape, v_shape, error", [
     ((0, 4), (0, 4), ContractError),
@@ -117,7 +119,7 @@ def test_contrastive_single_pair_is_exactly_zero():
     tape = ad.Tape()
     u = tape.leaf([[1.0, 2.0, 3.0]])
     v = tape.leaf([[0.5, -1.0, 2.0]])
-    assert losses.clip_loss(u, v, 0.07).item() == 0.0
+    assert losses.clip_loss(u, v, INV_TAU).item() == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -127,7 +129,7 @@ def test_contrastive_equal_similarities_is_log_n(n):
     row = np.array([0.3, -1.2, 0.8, 2.0])
     u = np.tile(row, (n, 1))
     tape = ad.Tape()
-    loss = losses.clip_loss(tape.leaf(u), tape.leaf(u), 0.07)
+    loss = losses.clip_loss(tape.leaf(u), tape.leaf(u), INV_TAU)
     assert abs(loss.item() - math.log(n)) < 1e-12
 
 
@@ -139,7 +141,7 @@ def test_contrastive_seeded_matches_extended_precision_oracle():
     u = rng.standard_normal((5, 8))
     v = rng.standard_normal((5, 8))
     tape = ad.Tape()
-    got = losses.clip_loss(tape.leaf(u), tape.leaf(v), 0.07).item()
+    got = losses.clip_loss(tape.leaf(u), tape.leaf(v), INV_TAU).item()
     assert abs(got - expected) < 1e-10
     assert abs(contrastive_direct(u, v, 0.07) - expected_forward) < 1e-10
 
@@ -148,11 +150,18 @@ def test_contrastive_nonpositive_tau_rejected():
     tape = ad.Tape()
     u = tape.leaf(np.eye(2))
     v = tape.leaf(np.eye(2))
-    for tau in (0.0, -1.0, math.nan, math.inf):
+    # each is as bad an inverse temperature as a temperature
+    for value in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
-            losses.clip_loss(u, v, tau)
+            losses.clip_loss(u, v, value)
         with pytest.raises(DomainError):
-            Temperature(tau=tau)
+            Temperature(tau=value)
+    # a live inverse temperature is checked too; a leaf cannot be NaN or inf
+    for value in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            losses.clip_loss(u, v, u.tape.leaf(value))
+    with pytest.raises(ContractError, match="inverse temperature must be a real"):
+        losses.clip_loss(u, v, u.tape.leaf(np.full((2, 2), 14.0)))
 
 
 @pytest.mark.parametrize("value", ["0.07", None, True], ids=["str", "none", "bool"])
@@ -171,10 +180,10 @@ def test_contrastive_scale_invariance():
     u = rng.standard_normal((6, 5))
     v = rng.standard_normal((6, 5))
     tape = ad.Tape()
-    base = losses.clip_loss(tape.leaf(u), tape.leaf(v), 0.07).item()
+    base = losses.clip_loss(tape.leaf(u), tape.leaf(v), INV_TAU).item()
     for alpha, beta in [(2.0, 3.0), (0.01, 7.0), (123.0, 0.4)]:
         scaled = losses.clip_loss(
-            tape.leaf(alpha * u), tape.leaf(beta * v), 0.07).item()
+            tape.leaf(alpha * u), tape.leaf(beta * v), INV_TAU).item()
         assert abs(scaled - base) < 1e-10
 
 
@@ -185,12 +194,12 @@ def test_contrastive_nonnegative_and_near_zero_at_small_tau():
         u = r.standard_normal((5, 7))
         v = r.standard_normal((5, 7))
         tape = ad.Tape()
-        val = losses.clip_loss(tape.leaf(u), tape.leaf(v), 0.07).item()
+        val = losses.clip_loss(tape.leaf(u), tape.leaf(v), INV_TAU).item()
         assert val >= 0.0
     # near-one-hot: orthonormal rows, diagonal similarity 1, off-diagonal 0
     eye = np.eye(4, 8)
     tape = ad.Tape()
-    tiny = losses.clip_loss(tape.leaf(eye), tape.leaf(eye), 0.01).item()
+    tiny = losses.clip_loss(tape.leaf(eye), tape.leaf(eye), 1.0 / 0.01).item()
     assert 0.0 <= tiny < 1e-3
     del rng
 
@@ -201,8 +210,8 @@ def test_contrastive_permutation_equivariance():
     v = rng.standard_normal((6, 5))
     perm = rng.permutation(6)
     tape = ad.Tape()
-    base = losses.clip_loss(tape.leaf(u), tape.leaf(v), 0.07).item()
-    permuted = losses.clip_loss(tape.leaf(u[perm]), tape.leaf(v[perm]), 0.07)
+    base = losses.clip_loss(tape.leaf(u), tape.leaf(v), INV_TAU).item()
+    permuted = losses.clip_loss(tape.leaf(u[perm]), tape.leaf(v[perm]), INV_TAU)
     assert abs(base - permuted.item()) < 1e-12
 
 
@@ -212,7 +221,8 @@ def test_clip_loss_swap_is_bitwise_equal():
     v = rng.standard_normal((5, 6))
     tape = ad.Tape()
     ub, vb = tape.leaf(u), tape.leaf(v)
-    assert losses.clip_loss(ub, vb, 0.07).item() == losses.clip_loss(vb, ub, 0.07).item()
+    swapped = losses.clip_loss(vb, ub, INV_TAU).item()
+    assert losses.clip_loss(ub, vb, INV_TAU).item() == swapped
 
 
 def test_clip_loss_self_pair_equals_directional():
@@ -231,7 +241,7 @@ def test_clip_loss_is_mean_of_directions():
     v = rng.standard_normal((5, 6))
     want = 0.5 * (contrastive_direct(u, v, 0.07) + contrastive_direct(v, u, 0.07))
     tape = ad.Tape()
-    got = losses.clip_loss(tape.leaf(u), tape.leaf(v), 0.07).item()
+    got = losses.clip_loss(tape.leaf(u), tape.leaf(v), INV_TAU).item()
     assert abs(got - want) < 1e-9
 
 
@@ -244,11 +254,29 @@ def test_learnable_temperature_path():
     v = rng.standard_normal((4, 5))
     ub, vb = tape.leaf(u), tape.leaf(v)
     live = losses.clip_loss(ub, vb, temp.resolve(log_tau))
-    fixed = losses.clip_loss(ub, vb, 0.07)
+    fixed = losses.clip_loss(ub, vb, INV_TAU)
     assert abs(live.item() - fixed.item()) < 1e-12
     grads = ad.backward(tape, live)
     g = grads.of(log_tau)
     assert g.shape == () and g != 0.0
+
+
+def test_temperature_enters_the_tape_once():
+    # one exp node turns the log-tau leaf into 1/tau for every pairing;
+    # no op takes the log back
+    temp = Temperature(tau=0.07, learnable=True)
+    tape = ad.Tape()
+    inv_tau = temp.resolve(tape.leaf(temp.initial_param(), name="log_tau"))
+    assert abs(inv_tau.item() - INV_TAU) <= 2 * math.ulp(INV_TAU)
+    rng = np.random.default_rng(41)
+    for _ in range(2):
+        u, v = (tape.leaf(rng.standard_normal((4, 5))) for _ in range(2))
+        losses.clip_loss(u, v, inv_tau)
+    ops = [node.op for node in tape.nodes]
+    assert ops.count("exp") == 1
+    assert "log" not in ops and "neg" not in ops
+    for tau in (0.07, 0.3, 1.0, 2.5):
+        assert Temperature(tau).resolve() == 1.0 / tau
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +289,7 @@ def test_pairing_contract_rejects_wrong_modality():
     carotid = mkbatch(tape, np.eye(3), Modality.CAROTID)
     fundus = mkbatch(tape, np.eye(3), Modality.FUNDUS)
     with pytest.raises(PairingError):
-        losses.instantiate_contrastive("fc", (carotid, fundus), 0.07)
+        losses.instantiate_contrastive("fc", (carotid, fundus), INV_TAU)
 
 
 def test_pairing_eye_identical_batches():
@@ -270,9 +298,9 @@ def test_pairing_eye_identical_batches():
     tape = ad.Tape()
     right = mkbatch(tape, f, Modality.FUNDUS, View.EYE_RIGHT)
     left = mkbatch(tape, f, Modality.FUNDUS, View.EYE_LEFT)
-    name, term = losses.instantiate_contrastive("eye", (right, left), 0.07)
+    name, term = losses.instantiate_contrastive("eye", (right, left), INV_TAU)
     assert name == "contr_eye"
-    plain = losses.clip_loss(tape.leaf(f), tape.leaf(f), 0.07)
+    plain = losses.clip_loss(tape.leaf(f), tape.leaf(f), INV_TAU)
     assert abs(term.item() - plain.item()) < 1e-15
 
 
@@ -291,7 +319,7 @@ def test_all_four_pairings_yield_named_terms():
         "eye": (Modality.FUNDUS, View.EYE_RIGHT, Modality.FUNDUS, View.EYE_LEFT),
     }.items():
         name, term = losses.instantiate_contrastive(
-            pairing, (emb(m_u, v_u), emb(m_v, v_v)), 0.07
+            pairing, (emb(m_u, v_u), emb(m_v, v_v)), INV_TAU
         )
         terms[name] = term
     assert sorted(terms) == ["contr_cv", "contr_eye", "contr_fc", "contr_fv"]
@@ -303,7 +331,7 @@ def test_unknown_pairing_rejected():
     tape = ad.Tape()
     b = mkbatch(tape, np.eye(2))
     with pytest.raises(ContractError):
-        losses.instantiate_contrastive("xy", (b, b), 0.07)
+        losses.instantiate_contrastive("xy", (b, b), INV_TAU)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +481,7 @@ def test_contrastive_gradients_match_finite_differences(seed):
         tape = ad.Tape()
         u = tape.leaf(p["u"], name="u")
         v = tape.leaf(p["v"], name="v")
-        loss = losses.clip_loss(u, v, 0.07)
+        loss = losses.clip_loss(u, v, INV_TAU)
         return tape, u, v, loss
 
     tape, u, v, loss = run(params)

@@ -596,11 +596,11 @@ def test_checkpoint_round_trip_learnable_tau(tmp_path):
         assert loaded.arrays[name].tobytes() == arr.tobytes()
     # the reloaded 0-d log_tau still scales a similarity matrix
     view = make_view(loaded)
-    tau = losses.Temperature(0.07, learnable=True).resolve(view["log_tau"])
+    inv_tau = losses.Temperature(0.07, learnable=True).resolve(view["log_tau"])
     rng = np.random.default_rng(6)
     u = view.tape.leaf(rng.standard_normal((3, 4)))
     v = view.tape.leaf(rng.standard_normal((3, 4)))
-    assert np.isfinite(losses.clip_loss(u, v, tau).item())
+    assert np.isfinite(losses.clip_loss(u, v, inv_tau).item())
 
 
 def test_checkpoint_rejects_non_checkpoint_bundle(tmp_path):
@@ -665,7 +665,7 @@ def test_no_backward_rule_captures_a_tensor(monkeypatch):
     rng = np.random.default_rng(8)
     params = model.init_params(TINY, seed=8, learnable_tau_init=0.07)
     view = make_view(params)
-    tau = losses.Temperature(0.07, learnable=True).resolve(view["log_tau"])
+    inv_tau = losses.Temperature(0.07, learnable=True).resolve(view["log_tau"])
     batches, heads = [], []
     for modality in ("fundus", "carotid"):
         images = rand_images(rng, 3, 8)
@@ -679,7 +679,7 @@ def test_no_backward_rule_captures_a_tensor(monkeypatch):
         heads.append(losses.reconstruction_mse(
             view.tape.leaf(images), model.decode(view, TINY, emb, modality)
         ))
-    loss = losses.clip_loss(*batches, tau)
+    loss = losses.clip_loss(*batches, inv_tau)
     for term in heads:
         loss = ad.add(loss, term)
     ops = set()
