@@ -18,21 +18,22 @@ each leaf gradient once at the end, so a gradient that overflowed raises
 ``NonFiniteError`` naming the leaf; interior gradients go unchecked.
 
 A replayed tape is bitwise equal to the first run only at the same BLAS
-thread count: OpenBLAS splits a gemm's sums by thread, so ``matmul``,
-``linear`` and all that reads them can round otherwise on another count.
-``cmprbench`` pins the count to 1.
+thread count: OpenBLAS splits a gemm's sums by thread, so every op that
+runs a gemm (``matmul``, ``linear``, ``attention``, ``mlp``) and all that
+reads them can round otherwise on another count.  ``cmprbench`` pins the
+count to 1.
 
-Two outputs are not kept for the weight gradients of ``linear`` and
-``attention`` but rebuilt when their rules run (``Tensor.rebuild``):
-``layer_norm`` recomputes ``xhat * gamma + beta`` from its normalized
-input ``xhat`` and its parameters, and ``gelu`` recomputes
-``0.5 * x * (1 + t)`` from its input ``x`` and tanh term ``t``.  The
-producer's own backward rule keeps those arrays anyway, and its forward
-value comes from the same expression, so a rebuild is bitwise equal to the
-forward value.  ``attention`` goes further: its rule keeps only the
-(N, T, T) softmax weights, and recomputes q/k/v and the context from its
-rebuilt input, bitwise as the forward computed them.  Every other op keeps
-what it reads; gelu's tanh term is kept, not recomputed.
+``attention`` and ``mlp`` recompute their wide intermediates when their
+rules run, rather than keep them: ``attention``'s rule keeps only the
+(N, T, T) softmax weights and recomputes q/k/v and the context, and
+``mlp``'s keeps no (rows, hidden) array and recomputes the pre-activation
+and gelu's tanh term, each bitwise as the forward computed them.  Both
+read their input again through ``Tensor.rebuild`` when it has one, as a
+``layer_norm`` output does: ``layer_norm`` recomputes
+``xhat * gamma + beta`` from its normalized input ``xhat`` and its
+parameters, which its own rule keeps anyway, and its forward value comes
+from the same expression, so a rebuild is bitwise equal to the forward
+value.  Every other op keeps what it reads.
 
 Importing this module sets glibc's heap policy for the process, once.  A
 dropped tape frees hundreds of activation arrays; by default glibc maps
@@ -118,8 +119,8 @@ class Tensor:
     the forward value computed for that node.  ``rebuild``, when not None,
     is a zero-argument function that returns an array bitwise equal to
     ``value`` from arrays the producing op's backward rule holds anyway;
-    ``linear`` and ``attention`` keep it in place of ``value``, so
-    ``value`` is freed with the Tensor.  ``layer_norm`` and ``gelu`` set it.
+    ``attention`` and ``mlp`` keep it in place of ``value``, so ``value``
+    is freed with the Tensor.  ``layer_norm`` sets it.
     """
 
     __slots__ = ("tape", "index", "value", "rebuild")
@@ -323,9 +324,8 @@ def exp(a: Tensor) -> Tensor:
     return a.tape.record("exp", out, (a.index,), lambda g: (g * out,))
 
 
-def gelu(a: Tensor) -> Tensor:
-    """GELU activation, tanh approximation."""
-    x = a.value
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """gelu's tanh term ``tanh(C * (x + A * x^3))``, in a new array."""
     # x*x*x, not x**3: numpy sends a float power of 3 through libm pow.
     # asarray because x*x on a 0-d x is a numpy scalar, which has no buffer
     # for the in-place updates below.
@@ -336,36 +336,48 @@ def gelu(a: Tensor) -> Tensor:
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
+    return t
 
-    def rebuild():
-        # halving 1 + t first is exact, and keeps x * (1 + t) from
-        # overflowing where the value itself is finite
-        out = 1.0 + t
-        out *= 0.5
-        out *= x
-        return out
 
-    def bwd(g):
-        # 0.5*(1 + t) + 0.5*x*(1 - t^2)*C*(1 + 3*A*x^2), built in two buffers
-        s = np.asarray(t * t)
-        np.subtract(1.0, s, out=s)
-        s *= x
-        # tanh is exactly +-1 long before |x| reaches _GELU_X_SAT, so there
-        # s is 0 and clipping x changes nothing; an x^2 that overflowed
-        # would turn the saturated slope 1 (or 0) into Inf * 0 = NaN
-        d = np.asarray(np.clip(x, -_GELU_X_SAT, _GELU_X_SAT))
-        d *= d
-        d *= 3.0 * _GELU_A
-        d += 1.0
-        d *= _GELU_C
-        d *= s
-        d += t
-        d += 1.0
-        d *= 0.5
-        d *= g
-        return (d,)
+def _gelu_value(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``0.5 * x * (1 + t)``, finite wherever ``x`` is."""
+    # halving 1 + t first is exact, and keeps x * (1 + t) from overflowing
+    # where the value itself is finite
+    out = 1.0 + t
+    out *= 0.5
+    out *= x
+    return out
 
-    return a.tape.record("gelu", rebuild(), (a.index,), bwd, rebuild)
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g`` times gelu's slope at ``x``, whose tanh term is ``t``."""
+    # 0.5*(1 + t) + 0.5*x*(1 - t^2)*C*(1 + 3*A*x^2), built in two buffers
+    s = np.asarray(t * t)
+    np.subtract(1.0, s, out=s)
+    s *= x
+    # tanh is exactly +-1 long before |x| reaches _GELU_X_SAT, so there s is
+    # 0 and clipping x changes nothing; an x^2 that overflowed would turn
+    # the saturated slope 1 (or 0) into Inf * 0 = NaN
+    d = np.asarray(np.clip(x, -_GELU_X_SAT, _GELU_X_SAT))
+    d *= d
+    d *= 3.0 * _GELU_A
+    d += 1.0
+    d *= _GELU_C
+    d *= s
+    d += t
+    d += 1.0
+    d *= 0.5
+    d *= g
+    return d
+
+
+def gelu(a: Tensor) -> Tensor:
+    """GELU activation, tanh approximation."""
+    x = a.value
+    t = _gelu_tanh(x)
+    return a.tape.record(
+        "gelu", _gelu_value(x, t), (a.index,), lambda g: (_gelu_grad(x, t, g),)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +424,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFiniteError
         out = xv @ wv
         out += b.value
-    # a rebuildable x is read again only here, for dW, and not kept alive
-    x_again = x.rebuild or (lambda: xv)
 
     def bwd(g):
-        return g @ wv.T, x_again().T @ g, g.sum(axis=0)
+        return g @ wv.T, xv.T @ g, g.sum(axis=0)
 
     return tape.record("linear", out, (x.index, w.index, b.index), bwd)
 
@@ -628,6 +638,52 @@ def attention(
 
     parents = (x.index, *(w.index for w in ws), *(b.index for b in bs))
     return tape.record("attention", out, parents, bwd)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one node.
+
+    The forward makes those three ops' numpy calls in their order, so its
+    value is bitwise theirs; it checks the pre-activation and the output.
+    The rule keeps the parameter values and ``x``'s rebuild (``x``'s value
+    if it has none), and no (rows, hidden) array: it recomputes the
+    pre-activation and gelu's tanh term from ``x``, bitwise as the forward
+    did, and returns bitwise the gradients the three ops' rules return.
+    """
+    tape = _same_tape(x, w1, b1, w2, b2)
+    if (x.value.ndim != 2 or w1.value.ndim != 2 or w2.value.ndim != 2
+            or x.shape[1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
+            or b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],)):
+        raise DimensionError(
+            f"mlp shapes x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, "
+            f"w2 {w2.shape}, b2 {b2.shape}"
+        )
+    xv = x.value
+    w1v, b1v, w2v, b2v = w1.value, b1.value, w2.value, b2.value
+
+    def pre_activation(xv):
+        with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFiniteError
+            u = xv @ w1v
+            u += b1v
+        return u
+
+    u = pre_activation(xv)
+    _check_finite(u, "mlp")
+    with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFiniteError
+        out = _gelu_value(u, _gelu_tanh(u)) @ w2v
+        out += b2v
+    x_again = x.rebuild or (lambda: xv)
+
+    def bwd(g):
+        xr = x_again()
+        u = pre_activation(xr)
+        t = _gelu_tanh(u)
+        dw2 = _gelu_value(u, t).T @ g
+        d = _gelu_grad(u, t, g @ w2v.T)
+        return d @ w1v.T, xr.T @ d, d.sum(axis=0), dw2, g.sum(axis=0)
+
+    parents = (x.index, w1.index, b1.index, w2.index, b2.index)
+    return tape.record("mlp", out, parents, bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

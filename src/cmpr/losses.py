@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,15 +69,20 @@ class EmbeddingBatch:
 def _checked_tau(value: float, what: str) -> float:
     if not is_real(value):
         raise ContractError(f"{what} must be a real number, got {value!r}")
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{what} must be positive and finite, got {value}")
+    # a positive real can round to a float of 0, or to one whose 1/tau
+    # overflows (any tau below about 5.6e-309)
+    tau = float(value) if 0.0 < value <= sys.float_info.max else 0.0
+    if not (tau > 0.0 and 1.0 / tau < math.inf):
+        raise DomainError(
+            f"{what} must be positive and finite, with a finite inverse, got {value}"
+        )
     return value
 
 
 @dataclass
 class Temperature:
-    """Softmax temperature tau, positive and finite; a learnable one is
-    stored as its log.  ``resolve`` hands the losses 1/tau."""
+    """Softmax temperature tau, positive and finite with a finite 1/tau; a
+    learnable one is stored as its log.  ``resolve`` hands the losses 1/tau."""
 
     tau: float = 0.07
     learnable: bool = False

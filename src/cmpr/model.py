@@ -2,9 +2,10 @@
 
 Per modality: a small pre-norm vision transformer (patch embedding +
 learned positions, single-head self-attention blocks on the flat (N*T, D)
-token matrix, each attention sublayer one ``attention`` tape node,
-mean-pooled tokens), a linear projection head for the contrastive space,
-a 2-layer GELU MLP for measure prediction, and a decoder for
+token matrix, each attention sublayer one ``attention`` tape node and
+each MLP sublayer one ``mlp`` node, mean-pooled tokens), a linear
+projection head for the contrastive space, a 2-layer GELU MLP (one
+``mlp`` node) for measure prediction, and a decoder for
 reconstruction: a linear seed feature map, then transposed
 convolutions with kernel 2 and stride 2, each built as a matmul and a
 pixel shuffle, with GELU between them.
@@ -17,7 +18,7 @@ embedding, which preserves more information than the projection.
 joins the pooled tiles with ``concat_rows``.  A tile's widest activation
 is then 1,024 x 128 float64 (1 MiB), so it stays in a 2 MiB L2 cache from
 one op to the next; a 256-image batch's 4 MiB arrays stream from L3 on
-every gelu, layer_norm and add.  The split changes no forward value (a row
+every mlp, layer_norm and add.  The split changes no forward value (a row
 of a gemm does not depend on how many rows the gemm has).  All tiles share
 the ParamView's parameter leaves, so parameter gradients add up across
 tiles.  A batch of one tile records exactly the untiled tape.
@@ -157,7 +158,7 @@ def init_params(
     Weights are truncated-normal (std 0.02), biases and layer-norm shifts
     zero, layer-norm scales one.  ``learnable_tau_init`` adds a ``log_tau``
     scalar initialized to log of the given temperature, which must be
-    positive and finite (else ``DomainError``).
+    positive and finite, with a finite inverse (else ``DomainError``).
     """
     rng = np.random.default_rng(seed)
     arrays: OrderedDict[str, np.ndarray] = OrderedDict()
@@ -233,9 +234,9 @@ def _validate_images(images: np.ndarray, config: EncoderConfig) -> None:
         raise ContractError("image values must lie in [0, 1]")
 
 
-def _linear(view: ParamView, x: Tensor, prefix: str, tag: str = "") -> Tensor:
-    """The layer with weight ``{prefix}.w{tag}`` and bias ``{prefix}.b{tag}``."""
-    return ad.linear(x, view[f"{prefix}.w{tag}"], view[f"{prefix}.b{tag}"])
+def _linear(view: ParamView, x: Tensor, prefix: str) -> Tensor:
+    """The layer with weight ``{prefix}.w`` and bias ``{prefix}.b``."""
+    return ad.linear(x, view[f"{prefix}.w"], view[f"{prefix}.b"])
 
 
 def _attention(view: ParamView, prefix: str, x: Tensor, n: int) -> Tensor:
@@ -245,8 +246,8 @@ def _attention(view: ParamView, prefix: str, x: Tensor, n: int) -> Tensor:
 
 
 def _mlp(view: ParamView, prefix: str, x: Tensor) -> Tensor:
-    hdn = ad.gelu(_linear(view, x, prefix, "1"))
-    return _linear(view, hdn, prefix, "2")
+    """linear -> GELU -> linear with ``{prefix}.w1/b1/w2/b2``, one ``mlp`` node."""
+    return ad.mlp(x, *(view[f"{prefix}.{p}"] for p in ("w1", "b1", "w2", "b2")))
 
 
 def encode(

@@ -314,6 +314,30 @@ def sum_all(x):
     return x.tape.record("sum_all", out, (x.index,), bwd)
 
 
+def held_arrays(fn, skip):
+    """Arrays a function keeps through its closure cells, walked as
+    ``test_no_backward_rule_captures_a_tensor`` walks them, into the lists
+    and functions it holds too, but not into the objects in ``skip``."""
+    found, cells = [], list(fn.__closure__ or ())
+    while cells:
+        held = cells.pop().cell_contents
+        if any(held is s for s in skip):
+            continue
+        if isinstance(held, np.ndarray):
+            found.append(held)
+        elif isinstance(held, (list, tuple)):
+            cells.extend(_Cell(item) for item in held)
+        cells.extend(getattr(held, "__closure__", None) or ())
+    return found
+
+
+class _Cell:
+    __slots__ = ("cell_contents",)
+
+    def __init__(self, value):
+        self.cell_contents = value
+
+
 def expected_param_count(config, learnable_tau: bool = False) -> int:
     """Closed-form parameter count of an ``EncoderConfig`` (both
     modalities), written from the architecture rather than the init code."""

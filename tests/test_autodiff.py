@@ -26,6 +26,7 @@ from cmpr.errors import (
 from oracles import (
     assert_grads_close,
     gelu_tanh_elementwise,
+    held_arrays,
     layer_norm_rows,
     matmul_triple_loop,
     sum_all,
@@ -221,8 +222,11 @@ def test_linear_overflow_raises_nonfinite():
         ("mul", ad.mul, ([1e200, 1.0], [1e200, 1.0])),
         ("scale", lambda a: ad.mul(a, 1e200), ([1e200, 1.0],)),
         ("add_bias", ad.add_bias, ([[1e308, 1.0]], [1e308, 0.0])),
+        ("mlp", ad.mlp, ([[1e200, 1e200]], [[1e200], [1.0]], [0.0], [[1.0]], [0.0])),
+        ("mlp", ad.mlp, ([[1.0]], [[1e200]], [0.0], [[1e200]], [0.0])),
     ],
-    ids=["matmul", "add", "sub", "mul", "scale", "add_bias"],
+    ids=["matmul", "add", "sub", "mul", "scale", "add_bias", "mlp_pre_activation",
+         "mlp_output"],
 )
 def test_overflowing_output_raises_nonfinite(name, op, inputs):
     # as linear above; matmul's Inf - Inf is numpy's "invalid" warning
@@ -249,19 +253,22 @@ def _attention_of_weights(x, w):
          NonFiniteError),
         (ad.gelu, ([1e103, -1e103],), np.array([1e103, -0.0])),
         (ad.gelu, ([1.7e308, -1.7e308],), np.array([1.7e308, -0.0])),
+        (ad.mlp, ([[1.0]], [[1e103, -1e103]], [0.0, 0.0], np.eye(2), [0.0, 0.0]),
+         np.array([[1e103, -0.0]])),
         (lambda x: ad.mean_axis(x, 1), ([[1e308, 1e308], [0.1, 0.2]],),
          np.array([1e308, np.mean([0.1, 0.2])])),
         (ad.mean_all, ([1e308, 1e308],), np.array(1e308)),
         (_attention_of_weights, (np.eye(2), [[_C, 0.0], [-_C, 0.0]]), np.eye(2)),
         (ad.row_logsumexp, ([[1e308, -1e308]],), np.array([1e308])),
     ],
-    ids=["layer_norm_variance", "gelu_cubic", "gelu_product", "mean_axis_sum",
-         "mean_all_sum", "softmax_shift", "row_logsumexp_shift"],
+    ids=["layer_norm_variance", "gelu_cubic", "gelu_product", "mlp_cubic",
+         "mean_axis_sum", "mean_all_sum", "softmax_shift", "row_logsumexp_shift"],
 )
 def test_overflow_inside_an_op(op, inputs, want):
     # an intermediate that overflows ends in the op's own answer, never in
     # numpy's RuntimeWarning: the op's value where that is finite (tanh
-    # saturates gelu's infinite cubic, a mean is finite though its sum is
+    # saturates gelu's infinite cubic, in mlp too, where the pre-activation
+    # of +-1e103 gives gelu's value, a mean is finite though its sum is
     # not, and x - max(x) overflows only to -inf, whose exp is exactly 0:
     # attention's scores of +-1e308 give the one-hot softmax),
     # else NonFiniteError naming the op (an infinite variance would scale
@@ -411,26 +418,26 @@ def test_gelu_and_layer_norm_leave_inputs_intact():
 
 def test_second_backward_is_bitwise_equal():
     # a backward rule that wrote into an array its closure captured, or
-    # into one a rebuild reads, would change the second pass; linear
-    # rebuilds its layer_norm and gelu inputs, and attention rebuilds its
-    # gelu input and recomputes q/k/v and the context from it
+    # into one a rebuild reads, would change the second pass; mlp and
+    # attention both rebuild their layer_norm input, and recompute from it
+    # the pre-activation and tanh term, and q/k/v and the context
     rng = np.random.default_rng(33)
     tape = ad.Tape()
-    names = ["x", "gamma", "beta", "w", "b"]
-    shapes = [(6, 6), (6,), (6,), (6, 6), (6,)]
-    x, gamma, beta, w, b = (
+    names = ["x", "gamma", "beta", "w1", "b1", "w2", "b2"]
+    shapes = [(6, 6), (6,), (6,), (6, 12), (12,), (12, 6), (6,)]
+    x, gamma, beta, w1, b1, w2, b2 = (
         tape.leaf(rng.standard_normal(s), name=n) for n, s in zip(names, shapes)
     )
     aw = [tape.leaf(rng.standard_normal((6, 6)), name=f"w{p}") for p in "qkvo"]
     ab = [tape.leaf(rng.standard_normal(6), name=f"b{p}") for p in "qkvo"]
     normed = ad.layer_norm(x, gamma, beta)
-    hdn = ad.gelu(ad.linear(normed, w, b))
-    ctx = ad.attention(hdn, aw, ab, 2)
-    out = ad.add(ad.linear(hdn, w, b), ad.linear(ctx, w, b))
+    hdn = ad.mlp(normed, w1, b1, w2, b2)
+    ctx = ad.attention(normed, aw, ab, 2)
+    out = ad.add(hdn, ad.mlp(ctx, w1, b1, w2, b2))
     loss = sum_all(ad.mul(out, tape.leaf(rng.standard_normal((6, 6)))))
     first = ad.backward(tape, loss)
     second = ad.backward(tape, loss)
-    for t in (x, gamma, beta, w, b, *aw, *ab):
+    for t in (x, gamma, beta, w1, b1, w2, b2, *aw, *ab):
         assert first.of(t).tobytes() == second.of(t).tobytes()
 
 
@@ -442,36 +449,30 @@ def _layer_norm_out(tape, rng):
     )
 
 
-def _linear_reader(tape, rng):
-    w = tape.leaf(rng.standard_normal((4, 3)))
-    b = tape.leaf(rng.standard_normal(3))
-    return lambda h: ad.linear(h, w, b)
-
-
 def _attention_reader(tape, rng):
     ws = [tape.leaf(rng.standard_normal((4, 4))) for _ in range(4)]
     bs = [tape.leaf(rng.standard_normal(4)) for _ in range(4)]
     return lambda h: ad.attention(h, ws, bs, 2)
 
 
-# each makes a (6, 4) input, and the op that reads it
-PRODUCERS = {
-    "layer_norm": (_layer_norm_out, _linear_reader),
-    "gelu": (lambda tape, rng: ad.gelu(tape.leaf(2.0 * rng.standard_normal((6, 4)))),
-             _linear_reader),
-    "attention": (_layer_norm_out, _attention_reader),
-}
+def _mlp_reader(tape, rng):
+    w1, b1 = tape.leaf(rng.standard_normal((4, 8))), tape.leaf(rng.standard_normal(8))
+    w2, b2 = tape.leaf(rng.standard_normal((8, 3))), tape.leaf(rng.standard_normal(3))
+    return lambda h: ad.mlp(h, w1, b1, w2, b2)
 
 
-@pytest.mark.parametrize("produce, reader", PRODUCERS.values(), ids=PRODUCERS.keys())
-def test_linear_rebuilds_its_input_instead_of_keeping_it(produce, reader):
-    # the producer's output is freed with its Tensor while the linear (or
-    # attention) that read it stays on the tape, and the reader's rule
-    # still gives bitwise what it gives for a leaf holding a copy of that
-    # output
+# each makes the op that reads a (6, 4) layer_norm output
+READERS = {"attention": _attention_reader, "mlp": _mlp_reader}
+
+
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+def test_reader_rebuilds_its_input_instead_of_keeping_it(reader):
+    # the layer_norm output is freed with its Tensor while the op that read
+    # it stays on the tape, and the reader's rule still gives bitwise what
+    # it gives for a leaf holding a copy of that output
     rng = np.random.default_rng(7)
     tape = ad.Tape()
-    h = produce(tape, rng)
+    h = _layer_norm_out(tape, rng)
     read = reader(tape, rng)
     y = read(h)
     y_leaf = read(tape.leaf(h.value.copy()))
@@ -485,30 +486,6 @@ def test_linear_rebuilds_its_input_instead_of_keeping_it(produce, reader):
     assert y.value.tobytes() == y_leaf.value.tobytes()
     for dgot, dwant in zip(got, want, strict=True):
         assert dgot.shape == dwant.shape and dgot.tobytes() == dwant.tobytes()
-
-
-def _held_arrays(fn, skip):
-    """Arrays a function keeps through its closure cells, walked as
-    ``test_no_backward_rule_captures_a_tensor`` walks them, into the lists
-    and functions it holds too, but not into the objects in ``skip``."""
-    found, cells = [], list(fn.__closure__ or ())
-    while cells:
-        held = cells.pop().cell_contents
-        if any(held is s for s in skip):
-            continue
-        if isinstance(held, np.ndarray):
-            found.append(held)
-        elif isinstance(held, (list, tuple)):
-            cells.extend(_Cell(item) for item in held)
-        cells.extend(getattr(held, "__closure__", None) or ())
-    return found
-
-
-class _Cell:
-    __slots__ = ("cell_contents",)
-
-    def __init__(self, value):
-        self.cell_contents = value
 
 
 def test_attention_rule_keeps_only_its_softmax_weights(monkeypatch):
@@ -538,12 +515,98 @@ def test_attention_rule_keeps_only_its_softmax_weights(monkeypatch):
     # layer_norm's, whose own rule holds its arrays anyway
     rule = tape.nodes[y.index].backward_fn
     params = [p.value for p in (*ws, *bs)]
-    held = _held_arrays(rule, [x.rebuild, *params])
+    held = held_arrays(rule, [x.rebuild, *params])
     largest = max(held, key=lambda arr: arr.size)
     assert largest.shape == (n, t, t)
     np.testing.assert_allclose(largest.sum(axis=-1), 1.0, rtol=1e-12)
     assert [arr.shape for arr in held] == [(n, t, t)]
     assert any(c.cell_contents is x.rebuild for c in rule.__closure__)
+
+
+def _mlp_and_composition(x_kind, rows, d, hidden, out):
+    """Value and rule outputs of ``mlp`` and of ``linear(gelu(linear()))``
+    on equal inputs, each on its own tape; the composition's rules are run
+    by hand, the three ops' in reverse."""
+    results = []
+    for fused in (True, False):
+        rng = np.random.default_rng(35)
+        tape = ad.Tape()
+        x = tape.leaf(rng.standard_normal((rows, d)))
+        if x_kind == "layer_norm":
+            x = ad.layer_norm(x, tape.leaf(rng.standard_normal(d) + 1.0),
+                              tape.leaf(rng.standard_normal(d)))
+        w1 = tape.leaf(rng.standard_normal((d, hidden)) / math.sqrt(d))
+        b1 = tape.leaf(rng.standard_normal(hidden))
+        w2 = tape.leaf(rng.standard_normal((hidden, out)) / math.sqrt(hidden))
+        b2 = tape.leaf(rng.standard_normal(out))
+        g = rng.standard_normal((rows, out))
+        if fused:
+            y = ad.mlp(x, w1, b1, w2, b2)
+            grads = tape.nodes[y.index].backward_fn(g)
+        else:
+            pre = ad.linear(x, w1, b1)
+            hdn = ad.gelu(pre)
+            y = ad.linear(hdn, w2, b2)
+            dh, dw2, db2 = tape.nodes[y.index].backward_fn(g)
+            (du,) = tape.nodes[hdn.index].backward_fn(dh)
+            dx, dw1, db1 = tape.nodes[pre.index].backward_fn(du)
+            grads = (dx, dw1, db1, dw2, db2)
+        results.append((y.value, grads))
+    return results
+
+
+@pytest.mark.parametrize("x_kind", ["leaf", "layer_norm"])
+@pytest.mark.parametrize(
+    "rows, d, hidden, out", [(5, 3, 4, 2), (1024, 64, 128, 64)], ids=["tiny", "tile"]
+)
+def test_mlp_is_bitwise_linear_gelu_linear(x_kind, rows, d, hidden, out):
+    # the tile is the encoder's: 64 images of 16 tokens, width 64, hidden 128
+    (y_f, grads_f), (y_c, grads_c) = _mlp_and_composition(x_kind, rows, d, hidden, out)
+    assert y_f.shape == (rows, out) and y_f.tobytes() == y_c.tobytes()
+    for got, want in zip(grads_f, grads_c, strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_mlp_rule_keeps_no_hidden_array(monkeypatch):
+    rows, d, hidden = 6, 4, 8
+    rng = np.random.default_rng(36)
+    checked = []
+
+    def check_finite(arr, op):
+        if op == "mlp" and arr.shape == (rows, hidden):
+            checked.append(weakref.ref(arr))
+        return real_check_finite(arr, op)
+
+    real_check_finite = ad._check_finite
+    monkeypatch.setattr(ad, "_check_finite", check_finite)
+    tape = ad.Tape()
+    x = ad.layer_norm(tape.leaf(rng.standard_normal((rows, d))),
+                      tape.leaf(np.ones(d)), tape.leaf(np.zeros(d)))
+    params = [tape.leaf(rng.standard_normal(s))
+              for s in ((d, hidden), (hidden,), (hidden, d), (d,))]
+    y = ad.mlp(x, *params)
+    gc.collect()
+    # the forward's pre-activation was checked, and is freed once the op
+    # returns
+    assert len(checked) == 1 and checked[0]() is None
+    # the parameter values are the leaves', and x's rebuild is the
+    # layer_norm's, whose own rule holds its arrays anyway
+    rule = tape.nodes[y.index].backward_fn
+    assert held_arrays(rule, [x.rebuild, *(p.value for p in params)]) == []
+    assert any(c.cell_contents is x.rebuild for c in rule.__closure__)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [((2, 3, 4), (4, 5), (5,), (5, 2), (2,)), ((2, 3), (4, 5), (5,), (5, 2), (2,)),
+     ((2, 4), (4, 5), (4,), (5, 2), (2,)), ((2, 4), (4, 5), (5,), (4, 2), (2,)),
+     ((2, 4), (4, 5), (5,), (5, 2), (5,)), ((2, 4), (4, 5), (5,), (5,), (2,))],
+    ids=["x_3d", "inner_dims", "b1_length", "w2_rows", "b2_length", "w2_1d"],
+)
+def test_mlp_shape_errors(shapes):
+    tape = ad.Tape()
+    with pytest.raises(DimensionError, match="mlp"):
+        ad.mlp(*(tape.leaf(np.ones(s)) for s in shapes))
 
 
 def test_equal_shape_only_broadcasting():
@@ -790,6 +853,25 @@ def test_grad_linear(seed):
 
     def build(tape, p):
         return sum_all(ad.mul(ad.linear(p["x"], p["w"], p["b"]), tape.leaf(r)))
+
+    fd_check(build, params)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_mlp(seed):
+    rng = np.random.default_rng(seed)
+    params = {
+        "x": rng.standard_normal((3, 4)),
+        "w1": rng.standard_normal((4, 5)),
+        "b1": rng.standard_normal(5),
+        "w2": rng.standard_normal((5, 2)),
+        "b2": rng.standard_normal(2),
+    }
+    r = rng.standard_normal((3, 2))
+
+    def build(tape, p):
+        out = ad.mlp(p["x"], p["w1"], p["b1"], p["w2"], p["b2"])
+        return sum_all(ad.mul(out, tape.leaf(r)))
 
     fd_check(build, params)
 

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,6 +163,21 @@ def test_contrastive_nonpositive_tau_rejected():
             losses.clip_loss(u, v, u.tape.leaf(value))
     with pytest.raises(ContractError, match="inverse temperature must be a real"):
         losses.clip_loss(u, v, u.tape.leaf(np.full((2, 2), 14.0)))
+
+
+def test_temperature_with_an_infinite_inverse_rejected():
+    # 1e-320 is positive and finite, but 1 / 1e-320 overflows, so it is
+    # rejected at construction, not by the first loss that reads 1/tau;
+    # so are an int beyond the largest float and a fraction that rounds to 0
+    for learnable in (False, True):
+        with pytest.raises(DomainError, match="temperature .* got 1e-320"):
+            Temperature(1e-320, learnable=learnable)
+    for value in (10**400, Fraction(1, 10**400)):
+        with pytest.raises(DomainError, match="temperature"):
+            Temperature(value)
+    u = ad.Tape().leaf(np.eye(2))
+    with pytest.raises(DomainError, match="inverse temperature .* got 1e-320"):
+        losses.clip_loss(u, u, 1e-320)
 
 
 @pytest.mark.parametrize("value", ["0.07", None, True], ids=["str", "none", "bool"])

@@ -24,6 +24,7 @@ from oracles import (
     encode_loops,
     expected_param_count,
     gelu_tanh_elementwise,
+    held_arrays,
     sum_all,
     transposed_conv2d_direct,
 )
@@ -151,9 +152,10 @@ def test_init_param_count_matches_closed_form():
     (-1.0, DomainError),
     (math.nan, DomainError),
     (math.inf, DomainError),
+    (1e-320, DomainError),
     ("0.07", ContractError),
     (True, ContractError),
-], ids=["zero", "negative", "nan", "inf", "str", "bool"])
+], ids=["zero", "negative", "nan", "inf", "inverse_inf", "str", "bool"])
 def test_init_rejects_bad_learnable_tau(tau, error):
     with pytest.raises(error, match="temperature"):
         model.init_params(TINY, seed=0, learnable_tau_init=tau)
@@ -293,24 +295,24 @@ class _ValueTape(ad.Tape):
     "cfg, n_images, counts",
     [
         (TINY, 2,
-         {"leaf": 22, "linear": 4, "reshape": 3, "add_bias": 1,
-          "attention": 1, "layer_norm": 2, "add": 2, "gelu": 1,
+         {"leaf": 22, "linear": 2, "reshape": 3, "add_bias": 1,
+          "attention": 1, "layer_norm": 2, "add": 2, "mlp": 1,
           "mean_axis": 1}),
         (dataclasses.replace(TINY, patch_size=2, embed_dim=6, depth=2), 2,
-         {"leaf": 38, "linear": 6, "reshape": 3, "add_bias": 1,
-          "attention": 2, "layer_norm": 4, "add": 4, "gelu": 2,
+         {"leaf": 38, "linear": 2, "reshape": 3, "add_bias": 1,
+          "attention": 2, "layer_norm": 4, "add": 4, "mlp": 2,
           "mean_axis": 1}),
         # tiles of 2 images: 2 + 2 + 1
         (TINY, 5,
-         {"leaf": 24, "linear": 10, "reshape": 9, "add_bias": 3,
-          "attention": 3, "layer_norm": 6, "add": 6, "gelu": 3,
+         {"leaf": 24, "linear": 4, "reshape": 9, "add_bias": 3,
+          "attention": 3, "layer_norm": 6, "add": 6, "mlp": 3,
           "mean_axis": 3, "concat_rows": 1}),
     ],
     ids=["tiny", "depth2", "tiny_3tiles"],
 )
 def test_encode_project_tape(cfg, n_images, counts, monkeypatch):
     # per block: 16 parameter leaves; the attention sublayer is one
-    # attention node and the two MLP layers are one linear node each.
+    # attention node and the MLP sublayer one mlp node.
     # Around the blocks: the pixel, patch and position leaves, the patch
     # linear, the position add_bias, three reshapes, the pool, and the
     # projection's two leaves and linear.  Each further tile repeats all
@@ -660,24 +662,26 @@ def test_checkpoint_with_heads_key_raises_config_error(tmp_path):
 def test_no_backward_rule_captures_a_tensor(monkeypatch):
     # a captured Tensor pins its forward value for the tape's whole life
     # even when the rule never reads it.  Tiles of 2 images make each
-    # 3-image encode two tiles, so concat_rows is recorded too.
-    small_tiles(monkeypatch, TINY, 2)
+    # 3-image encode two tiles, so concat_rows is recorded too, and a
+    # two-layer decoder records the gelu between its layers.
+    cfg = dataclasses.replace(TINY, decoder_channels=[4, 4])
+    small_tiles(monkeypatch, cfg, 2)
     rng = np.random.default_rng(8)
-    params = model.init_params(TINY, seed=8, learnable_tau_init=0.07)
+    params = model.init_params(cfg, seed=8, learnable_tau_init=0.07)
     view = make_view(params)
     inv_tau = losses.Temperature(0.07, learnable=True).resolve(view["log_tau"])
     batches, heads = [], []
     for modality in ("fundus", "carotid"):
         images = rand_images(rng, 3, 8)
-        emb = model.encode(view, TINY, images, modality)
-        proj = model.project(view, TINY, emb, modality)
+        emb = model.encode(view, cfg, images, modality)
+        proj = model.project(view, cfg, emb, modality)
         batches.append(proj)
-        measures = view.tape.leaf(rng.standard_normal((3, TINY.n_measures)))
+        measures = view.tape.leaf(rng.standard_normal((3, cfg.n_measures)))
         heads.append(losses.prediction_mse(
-            measures, model.predict_measures(view, TINY, emb, modality)
+            measures, model.predict_measures(view, cfg, emb, modality)
         ))
         heads.append(losses.reconstruction_mse(
-            view.tape.leaf(images), model.decode(view, TINY, emb, modality)
+            view.tape.leaf(images), model.decode(view, cfg, emb, modality)
         ))
     loss = losses.clip_loss(*batches, inv_tau)
     for term in heads:
@@ -687,7 +691,8 @@ def test_no_backward_rule_captures_a_tensor(monkeypatch):
         if node.backward_fn is None:
             continue
         ops.add(node.op)
-        # and none of the functions a rule keeps, such as linear's rebuild
+        # and none of the functions a rule keeps, such as a layer_norm's
+        # rebuild
         cells = list(node.backward_fn.__closure__ or ())
         while cells:
             held = cells.pop().cell_contents
@@ -701,3 +706,28 @@ def test_no_backward_rule_captures_a_tensor(monkeypatch):
     }
     assert public_ops - {"backward", "finite_difference_gradient"} <= ops
     assert np.isfinite(loss.item())
+
+
+def test_encode_tape_holds_the_closed_form_activation_budget():
+    # a default-config batch of 64 images is one tile of 1,024 token rows.
+    # Besides the parameters, its rules hold each layer_norm's normalized
+    # rows (1,024 x 64) and inverse deviations (1,024 x 1), each attention's
+    # (64, 16, 16) softmax weights and the patch linear's (1,024 x 48)
+    # pixel rows: 2,720 KiB, and no mlp or attention activation
+    cfg = EncoderConfig()
+    n = 64
+    view = make_view(model.init_params(cfg, seed=4))
+    model.encode(view, cfg, rand_images(np.random.default_rng(4), n, cfg.image_size),
+                 "fundus")
+    params = [leaf.value for leaf in view.used().values()]
+    held = {}
+    for node in view.tape.nodes:
+        if node.backward_fn is not None:
+            held.update((id(a), a) for a in held_arrays(node.backward_fn, params))
+    rows, t = n * cfg.n_tokens, cfg.n_tokens
+    layer_norms = 2 * cfg.depth * (rows * cfg.embed_dim + rows)
+    softmax = cfg.depth * n * t * t
+    pixels = rows * cfg.patch_dim
+    want = 8 * (layer_norms + softmax + pixels)
+    assert want == 2720 * 1024
+    assert sum(a.nbytes for a in held.values()) == want
