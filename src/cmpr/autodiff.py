@@ -565,9 +565,9 @@ def attention(
     """Single-head self-attention within each of ``n`` samples, as one node.
 
     ``x`` is the (n*T, D) token matrix, ``ws`` the (D, D) weights ``wq``,
-    ``wk``, ``wv``, ``wo`` and ``bs`` their (D,) biases.  One gemm of ``x``
-    by ``[wq|wk|wv]`` gives the q/k/v block; per sample the output is
-    ``softmax(q k^T / sqrt(D)) v``, then ``@ wo + bo``.
+    ``wk``, ``wv``, ``wo`` and ``bs`` the (D,) biases ``bq``, ``bv``, ``bo``
+    (a key bias shifts a softmax row evenly, so no gradient reaches it).  Per
+    sample the output is ``softmax(q k^T / sqrt(D)) v @ wo + bo``.
 
     The rule keeps the (n, T, T) softmax weights, the parameter values and
     ``x``'s rebuild (``x``'s value if it has none), and no other (n*T, D)
@@ -577,9 +577,9 @@ def attention(
     from one ``x.T @ g``.
     """
     tape = _same_tape(x, *ws, *bs)
-    if len(ws) != 4 or len(bs) != 4:
+    if len(ws) != 4 or len(bs) != 3:
         raise ContractError(
-            f"attention takes 4 weights and 4 biases, got {len(ws)} and {len(bs)}"
+            f"attention takes 4 weights and 3 biases, got {len(ws)} and {len(bs)}"
         )
     if x.value.ndim != 2:
         raise DimensionError(f"attention expects a 2-D x, got {x.shape}")
@@ -600,7 +600,7 @@ def attention(
         """[wq|wk|wv], the (n*T, 3D) q/k/v block and its three (n, T, D) views."""
         w3 = np.concatenate(wvals[:3], axis=1)
         qkv = xv @ w3
-        qkv += np.concatenate(bvals[:3])
+        qkv += np.concatenate([bvals[0], np.zeros(d), bvals[1]])  # no key bias
         return w3, qkv, [p.reshape(n, t, d) for p in np.split(qkv, 3, axis=1)]
 
     with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFiniteError
@@ -613,7 +613,7 @@ def attention(
         np.exp(a, out=a)
         a /= a.sum(axis=-1, keepdims=True)
         out = (a @ v).reshape(rows, d) @ wvals[3]
-        out += bvals[3]
+        out += bvals[2]
     x_again = x.rebuild or (lambda: xv)
 
     def bwd(g):
@@ -633,7 +633,7 @@ def attention(
         return (
             dqkv @ w3.T,
             *np.split(xr.T @ dqkv, 3, axis=1), ctx.T @ g,
-            *np.split(dqkv.sum(axis=0), 3), g.sum(axis=0),
+            *np.split(dqkv.sum(axis=0), 3)[::2], g.sum(axis=0),
         )
 
     parents = (x.index, *(w.index for w in ws), *(b.index for b in bs))

@@ -63,7 +63,8 @@ def check_config_keys(cls: type, d: dict) -> None:
         )
 
 
-def _is_int(v) -> bool:
+def is_int(v) -> bool:
+    """Whether ``v`` is an integer; a bool is not one."""
     return isinstance(v, Integral) and not isinstance(v, bool)
 
 
@@ -73,9 +74,9 @@ def is_real(v) -> bool:
 
 
 _FIELD_TYPES = {
-    "int": _is_int,
+    "int": is_int,
     "float": lambda v: is_real(v) and math.isfinite(v),
-    "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "list[int]": lambda v: isinstance(v, list) and all(map(is_int, v)),
 }
 
 

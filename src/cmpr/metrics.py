@@ -23,6 +23,7 @@ from .errors import (
     DegenerateTargetError,
     DimensionError,
     NonFiniteError,
+    is_int,
 )
 
 DEFAULT_K_VALUES = (5, 25, 100)
@@ -93,14 +94,18 @@ def topk_report(sim: np.ndarray, k_values=DEFAULT_K_VALUES) -> MetricReport:
     Top-k is the fraction of rows whose diagonal entry ranks in the row's
     top k, by descending value; ties break toward the lower column index,
     so results are deterministic.  Multiplicative top-k divides it by the
-    chance rate k/N, so 1.0 is random.  Each k must lie in [1, N].
+    chance rate k/N, so 1.0 is random.  Each k must be an integer in
+    [1, N]; a bool is not one.
     """
-    report = MetricReport(k_values=[int(k) for k in k_values])
+    _check_finite("topk_report", sim)
     ranks = _diagonal_ranks(sim)
     n = ranks.size
-    for k in report.k_values:
-        if not 1 <= k <= n:
-            raise ContractError(f"k must be in [1, {n}], got {k}")
+    report = MetricReport()
+    for k in k_values:
+        if not (is_int(k) and 1 <= k <= n):
+            raise ContractError(f"k must be an integer in [1, {n}], got {k!r}")
+        k = int(k)
+        report.k_values.append(k)
         report.top_k[k] = float(np.mean(ranks < k))
         report.mult_top_k[k] = report.top_k[k] * n / k
     return report

@@ -39,6 +39,7 @@ from .errors import (
     ConfigError,
     ContractError,
     DimensionError,
+    FormatError,
     check_config_keys,
     check_field_types,
     manifest_field,
@@ -181,9 +182,10 @@ def init_params(
             p = f"{m}.block{i}"
             ones(f"{p}.ln1.g", (d,))
             zeros(f"{p}.ln1.b", (d,))
-            for proj in ("q", "k", "v", "o"):
+            for proj in "qkvo":
                 w(f"{p}.attn.w{proj}", (d, d))
-                zeros(f"{p}.attn.b{proj}", (d,))
+                if proj != "k":  # no key bias; see autodiff.attention
+                    zeros(f"{p}.attn.b{proj}", (d,))
             ones(f"{p}.ln2.g", (d,))
             zeros(f"{p}.ln2.b", (d,))
             w(f"{p}.mlp.w1", (d, MLP_RATIO * d))
@@ -239,12 +241,6 @@ def _linear(view: ParamView, x: Tensor, prefix: str) -> Tensor:
     return ad.linear(x, view[f"{prefix}.w"], view[f"{prefix}.b"])
 
 
-def _attention(view: ParamView, prefix: str, x: Tensor, n: int) -> Tensor:
-    """Single-head self-attention within each of the n samples of ``x``."""
-    return ad.attention(x, [view[f"{prefix}.w{p}"] for p in "qkvo"],
-                        [view[f"{prefix}.b{p}"] for p in "qkvo"], n)
-
-
 def _mlp(view: ParamView, prefix: str, x: Tensor) -> Tensor:
     """linear -> GELU -> linear with ``{prefix}.w1/b1/w2/b2``, one ``mlp`` node."""
     return ad.mlp(x, *(view[f"{prefix}.{p}"] for p in ("w1", "b1", "w2", "b2")))
@@ -284,7 +280,9 @@ def _encode_tile(
     for i in range(config.depth):
         p = f"{modality}.block{i}"
         normed = ad.layer_norm(x, view[f"{p}.ln1.g"], view[f"{p}.ln1.b"])
-        x = ad.add(x, _attention(view, f"{p}.attn", normed, n))
+        ws = [view[f"{p}.attn.w{c}"] for c in "qkvo"]
+        bs = [view[f"{p}.attn.b{c}"] for c in "qvo"]
+        x = ad.add(x, ad.attention(normed, ws, bs, n))
         normed = ad.layer_norm(x, view[f"{p}.ln2.g"], view[f"{p}.ln2.b"])
         x = ad.add(x, _mlp(view, f"{p}.mlp", normed))
     return ad.mean_axis(ad.reshape(x, (n, t, d)), 1)
@@ -370,7 +368,12 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path):
-    """Read back (params, config, step, manifest_extra, aux_arrays)."""
+    """Read back (params, config, step, manifest_extra, aux_arrays).
+
+    The parameters must be the names and shapes ``init_params`` makes for
+    the stored config, and ``log_tau``, if present, one value of shape ()
+    or (1,); else ``FormatError`` names the file and the first bad key.
+    """
     manifest, arrays = arrayio.read_bundle(path)
     if manifest.get("kind") != "checkpoint":
         raise ContractError(f"{path} is not a checkpoint bundle")
@@ -381,12 +384,18 @@ def load_checkpoint(path: str | Path):
             params[name[len(_PARAM_PREFIX):]] = arr
         elif name.startswith(_AUX_PREFIX):
             aux[name[len(_AUX_PREFIX):]] = arr
-    config = manifest_field(path, manifest, "encoder_config", dict)
+    config = EncoderConfig.from_dict(manifest_field(path, manifest, "encoder_config", dict))
     step = manifest_field(path, manifest, "step", int)
-    return (
-        ModelParams(params),
-        EncoderConfig.from_dict(config),
-        step,
-        manifest.get("extra", {}),
-        aux,
-    )
+    want = {name: a.shape for name, a in init_params(config, seed=0).arrays.items()}
+    for name, arr in params.items():
+        if name == "log_tau":
+            ok = arr.shape in ((), (1,))
+        elif name in want:
+            ok = arr.shape == want.pop(name)
+        else:
+            raise FormatError(f"{path}: {name!r} is not a parameter of this encoder")
+        if not ok:
+            raise FormatError(f"{path}: parameter {name!r} has the wrong shape {arr.shape}")
+    if want:
+        raise FormatError(f"{path}: parameter {next(iter(want))!r} is missing")
+    return ModelParams(params), config, step, manifest.get("extra", {}), aux

@@ -50,6 +50,7 @@ from .errors import (
     FormatError,
     check_config_keys,
     check_field_types,
+    is_int,
     manifest_field,
 )
 
@@ -412,12 +413,15 @@ class StreamScheduler:
     (seed, stream, index): the epoch shuffle is keyed by the epoch number,
     so training can resume mid-run and reproduce the exact batch sequence.
     A trailing batch shorter than 2 is dropped (contrastive terms need
-    at least two rows).
+    at least two rows).  ``batch_size`` must be an integer >= 2, and
+    ``seed`` and every batch index integers >= 0; a bool is not one.
     """
 
     def __init__(self, samples: list[CohortSample], batch_size: int, seed: int):
-        if batch_size < 2:
-            raise ContractError(f"batch_size must be >= 2, got {batch_size}")
+        if not (is_int(batch_size) and batch_size >= 2):
+            raise ContractError(f"batch_size must be an integer >= 2, got {batch_size!r}")
+        if not (is_int(seed) and seed >= 0):
+            raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
         self.batch_size = batch_size
         self.seed = seed
         self._members = {s: stream_members(samples, s) for s in STREAMS}
@@ -447,8 +451,8 @@ class StreamScheduler:
         """Batch ``index`` of ``stream`` counted across epochs; None if the
         stream has no batch."""
         nb = self.n_batches(stream)
-        if index < 0:
-            raise ContractError(f"batch index must be >= 0, got {index}")
+        if not (is_int(index) and index >= 0):
+            raise ContractError(f"batch index must be an integer >= 0, got {index!r}")
         if nb == 0:
             return None
         epoch, offset = divmod(index, nb)

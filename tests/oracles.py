@@ -115,7 +115,7 @@ def encode_loops(
             b = f"block{i}"
             normed = layer_norm_rows(x, p(f"{b}.ln1.g"), p(f"{b}.ln1.b"))
             q = [row @ p(f"{b}.attn.wq") + p(f"{b}.attn.bq") for row in normed]
-            k = [row @ p(f"{b}.attn.wk") + p(f"{b}.attn.bk") for row in normed]
+            k = [row @ p(f"{b}.attn.wk") for row in normed]
             v = [row @ p(f"{b}.attn.wv") + p(f"{b}.attn.bv") for row in normed]
             attended = np.zeros((t, d))
             for a in range(t):
@@ -343,7 +343,8 @@ def expected_param_count(config, learnable_tau: bool = False) -> int:
     modalities), written from the architecture rather than the init code."""
     d = config.embed_dim
     hidden = 2 * d  # encoder MLP width
-    per_block = 2 * d + 4 * (d * d + d) + 2 * d + (
+    # attention has four (D, D) weights and three biases: no key bias
+    per_block = 2 * d + 4 * d * d + 3 * d + 2 * d + (
         d * hidden + hidden + hidden * d + d
     )
     patch_dim = 3 * config.patch_size**2

@@ -243,7 +243,7 @@ def _attention_of_weights(x, w):
     """Attention with ``w`` as both wq and wk, identity wv and wo and zero
     biases: with ``x`` the identity too, the output is the softmax weights."""
     eye, zero = x.tape.leaf(np.eye(2)), x.tape.leaf(np.zeros(2))
-    return ad.attention(x, [w, w, eye, eye], [zero] * 4, 1)
+    return ad.attention(x, [w, w, eye, eye], [zero] * 3, 1)
 
 
 @pytest.mark.parametrize(
@@ -429,7 +429,7 @@ def test_second_backward_is_bitwise_equal():
         tape.leaf(rng.standard_normal(s), name=n) for n, s in zip(names, shapes)
     )
     aw = [tape.leaf(rng.standard_normal((6, 6)), name=f"w{p}") for p in "qkvo"]
-    ab = [tape.leaf(rng.standard_normal(6), name=f"b{p}") for p in "qkvo"]
+    ab = [tape.leaf(rng.standard_normal(6), name=f"b{p}") for p in "qvo"]
     normed = ad.layer_norm(x, gamma, beta)
     hdn = ad.mlp(normed, w1, b1, w2, b2)
     ctx = ad.attention(normed, aw, ab, 2)
@@ -451,7 +451,7 @@ def _layer_norm_out(tape, rng):
 
 def _attention_reader(tape, rng):
     ws = [tape.leaf(rng.standard_normal((4, 4))) for _ in range(4)]
-    bs = [tape.leaf(rng.standard_normal(4)) for _ in range(4)]
+    bs = [tape.leaf(rng.standard_normal(4)) for _ in range(3)]
     return lambda h: ad.attention(h, ws, bs, 2)
 
 
@@ -506,7 +506,7 @@ def test_attention_rule_keeps_only_its_softmax_weights(monkeypatch):
     x = ad.layer_norm(tape.leaf(rng.standard_normal((n * t, d))),
                       tape.leaf(np.ones(d)), tape.leaf(np.zeros(d)))
     ws = [tape.leaf(rng.standard_normal((d, d))) for _ in range(4)]
-    bs = [tape.leaf(rng.standard_normal(d)) for _ in range(4)]
+    bs = [tape.leaf(rng.standard_normal(d)) for _ in range(3)]
     y = ad.attention(x, ws, bs, n)
     gc.collect()
     # the forward's q/k/v block was checked, and is freed once the op returns
@@ -607,6 +607,19 @@ def test_mlp_shape_errors(shapes):
     tape = ad.Tape()
     with pytest.raises(DimensionError, match="mlp"):
         ad.mlp(*(tape.leaf(np.ones(s)) for s in shapes))
+
+
+@pytest.mark.parametrize("n_ws, n_bs", [(4, 4), (4, 2), (3, 3)],
+                         ids=["key_bias", "two_biases", "three_weights"])
+def test_attention_takes_four_weights_and_three_biases(n_ws, n_bs):
+    # bq, bv, bo: a fourth bias would be the key bias, which no gradient
+    # reaches
+    tape = ad.Tape()
+    x = tape.leaf(np.ones((4, 2)))
+    ws = [tape.leaf(np.eye(2)) for _ in range(n_ws)]
+    bs = [tape.leaf(np.zeros(2)) for _ in range(n_bs)]
+    with pytest.raises(ContractError, match=f"4 weights and 3 biases, got {n_ws} and {n_bs}"):
+        ad.attention(x, ws, bs, 2)
 
 
 def test_equal_shape_only_broadcasting():
@@ -947,12 +960,13 @@ def test_grad_attention(seed):
     params = {"x": rng.standard_normal((6, 4))}
     for p in "qkvo":
         params[f"w{p}"] = rng.standard_normal((4, 4))
-        params[f"b{p}"] = rng.standard_normal(4)
+        if p != "k":
+            params[f"b{p}"] = rng.standard_normal(4)
     r = rng.standard_normal((6, 4))
 
     def build(tape, p):
         ws = [p[f"w{q}"] for q in "qkvo"]
-        bs = [p[f"b{q}"] for q in "qkvo"]
+        bs = [p[f"b{q}"] for q in "qvo"]
         return sum_all(ad.mul(ad.attention(p["x"], ws, bs, 2), tape.leaf(r)))
 
     fd_check(build, params)

@@ -289,12 +289,20 @@ def test_auc_matches_pairwise_oracle_sweep(kind):
          NonFiniteError),
         (lambda: metrics.similarity_matrix(np.eye(2), np.array([[1.0, 0.0], [np.inf, 1.0]])),
          NonFiniteError),
+        # an all-NaN matrix would rank every diagonal first: top-1 = 1.0
+        (lambda: metrics.topk_report(np.full((3, 3), np.nan), (1,)), NonFiniteError),
+        (lambda: metrics.topk_report(np.diag([1.0, -np.inf, 1.0]), (1,)), NonFiniteError),
+        # k = 1.7 would be ranked as k = 1
+        (lambda: metrics.topk_report(np.eye(3), (1.7,)), ContractError),
+        (lambda: metrics.topk_report(np.eye(3), (True,)), ContractError),
+        (lambda: metrics.topk_report(np.eye(3), ("a",)), ContractError),
     ],
     ids=[
         "auc_label_2", "auc_label_minus_1", "auc_label_half",
         "auc_score_nan", "auc_score_inf", "auc_score_minus_inf",
         "r2_y_nan", "r2_y_hat_inf", "r2_y_minus_inf",
         "similarity_nan", "similarity_inf",
+        "topk_nan", "topk_minus_inf", "topk_k_float", "topk_k_bool", "topk_k_str",
     ],
 )
 def test_metric_bad_input_raises_typed_error(call, error):

@@ -161,6 +161,46 @@ def test_init_rejects_bad_learnable_tau(tau, error):
         model.init_params(TINY, seed=0, learnable_tau_init=tau)
 
 
+def test_every_parameter_gets_a_gradient_from_a_four_stream_step():
+    # one step of every objective: the four contrastive pairings (fundus vs
+    # carotid, two fundus visits, two carotid visits, right vs left eye)
+    # share a learnable temperature, and both modalities' prediction and
+    # reconstruction heads read their embeddings.  Every parameter must be
+    # read, and must learn: a key bias, which shifts a softmax row evenly,
+    # would get a gradient of rounding noise (about 1e-20)
+    rng = np.random.default_rng(21)
+    params = model.init_params(TINY, seed=21, learnable_tau_init=0.07)
+    view = make_view(params)
+    inv_tau = losses.Temperature(0.07, learnable=True).resolve(view["log_tau"])
+    images, emb, proj = {}, {}, {}
+    for side, modality in (("fundus", "fundus"), ("fundus_later", "fundus"),
+                           ("fundus_left", "fundus"), ("carotid", "carotid"),
+                           ("carotid_later", "carotid")):
+        images[side] = rand_images(rng, 4, TINY.image_size)
+        emb[side] = model.encode(view, TINY, images[side], modality)
+        proj[side] = model.project(view, TINY, emb[side], modality)
+    terms = [
+        losses.clip_loss(proj[a], proj[b], inv_tau)
+        for a, b in (("fundus", "carotid"), ("fundus", "fundus_later"),
+                     ("carotid", "carotid_later"), ("fundus", "fundus_left"))
+    ]
+    measures = view.tape.leaf(rng.standard_normal((4, TINY.n_measures)))
+    for modality in model.MODALITIES:
+        terms.append(losses.prediction_mse(
+            measures, model.predict_measures(view, TINY, emb[modality], modality)))
+        terms.append(losses.reconstruction_mse(
+            view.tape.leaf(images[modality]),
+            model.decode(view, TINY, emb[modality], modality)))
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ad.add(loss, term)
+    grads = ad.backward(view.tape, loss)
+    used = view.used()
+    assert sorted(used) == sorted(params.arrays)
+    max_grad = {name: np.abs(grads.of(leaf)).max() for name, leaf in used.items()}
+    assert {name: g for name, g in max_grad.items() if not g > 1e-12} == {}
+
+
 def test_init_truncation_and_zero_biases():
     params = model.init_params(EncoderConfig(), seed=1)
     assert np.abs(params.arrays["fundus.patch.w"]).max() <= 2 * model.INIT_STD
@@ -295,23 +335,23 @@ class _ValueTape(ad.Tape):
     "cfg, n_images, counts",
     [
         (TINY, 2,
-         {"leaf": 22, "linear": 2, "reshape": 3, "add_bias": 1,
+         {"leaf": 21, "linear": 2, "reshape": 3, "add_bias": 1,
           "attention": 1, "layer_norm": 2, "add": 2, "mlp": 1,
           "mean_axis": 1}),
         (dataclasses.replace(TINY, patch_size=2, embed_dim=6, depth=2), 2,
-         {"leaf": 38, "linear": 2, "reshape": 3, "add_bias": 1,
+         {"leaf": 36, "linear": 2, "reshape": 3, "add_bias": 1,
           "attention": 2, "layer_norm": 4, "add": 4, "mlp": 2,
           "mean_axis": 1}),
         # tiles of 2 images: 2 + 2 + 1
         (TINY, 5,
-         {"leaf": 24, "linear": 4, "reshape": 9, "add_bias": 3,
+         {"leaf": 23, "linear": 4, "reshape": 9, "add_bias": 3,
           "attention": 3, "layer_norm": 6, "add": 6, "mlp": 3,
           "mean_axis": 3, "concat_rows": 1}),
     ],
     ids=["tiny", "depth2", "tiny_3tiles"],
 )
 def test_encode_project_tape(cfg, n_images, counts, monkeypatch):
-    # per block: 16 parameter leaves; the attention sublayer is one
+    # per block: 15 parameter leaves; the attention sublayer is one
     # attention node and the MLP sublayer one mlp node.
     # Around the blocks: the pixel, patch and position leaves, the patch
     # linear, the position add_bias, three reshapes, the pool, and the
@@ -520,7 +560,7 @@ def encoder_projection_fd(seed, n_images):
     base = model.init_params(TINY, seed=seed)
     names = [
         "fundus.patch.w", "fundus.pos",
-        *(f"fundus.block0.attn.{w}{p}" for w in "wb" for p in "qkvo"),
+        *(f"fundus.block0.attn.{p}" for p in "wq wk wv wo bq bv bo".split()),
         "fundus.block0.ln1.g", "fundus.block0.mlp.w1", "fundus.proj.w",
     ]
     subset = {k: base.arrays[k].copy() for k in names}
@@ -638,6 +678,54 @@ def test_checkpoint_malformed_manifest_raises_format_error(tmp_path, change, key
     arrayio.write_bundle(path, manifest, OrderedDict([("param/x", np.ones(2))]))
     with pytest.raises(FormatError, match=f"bad.cmpr.*'{key}'"):
         model.load_checkpoint(path)
+
+
+def _add_key_bias(arrays):
+    arrays["param/fundus.block0.attn.bk"] = np.zeros(TINY.embed_dim)
+
+
+def _drop_param(arrays):
+    del arrays["param/carotid.pred.b2"]
+
+
+def _reshape_param(arrays):
+    arrays["param/fundus.pos"] = arrays["param/fundus.pos"].reshape(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # a checkpoint written before the key bias was removed
+        (_add_key_bias, "'fundus.block0.attn.bk' is not a parameter"),
+        (_drop_param, "'carotid.pred.b2' is missing"),
+        (_reshape_param, r"'fundus.pos' has the wrong shape \(16, 2\)"),
+        (lambda arrays: arrays.update({"param/log_tau": np.zeros(2)}),
+         r"'log_tau' has the wrong shape \(2,\)"),
+    ],
+    ids=["extra", "missing", "wrong_shape", "log_tau_two_values"],
+)
+def test_checkpoint_parameters_must_match_the_config(tmp_path, edit, message):
+    from cmpr import arrayio
+
+    path = tmp_path / "ckpt.cmpr"
+    model.save_checkpoint(path, model.init_params(TINY, seed=16), TINY, step=1)
+    manifest, arrays = arrayio.read_bundle(path)
+    edit(arrays)
+    arrayio.write_bundle(path, manifest, arrays)
+    with pytest.raises(FormatError, match=f"ckpt.cmpr: .*{message}"):
+        model.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape", [(), (1,)], ids=["0d", "one_element"])
+def test_checkpoint_log_tau_holds_one_value(tmp_path, shape):
+    # the benchmark stores log_tau with shape (1,)
+    params = model.init_params(TINY, seed=16, learnable_tau_init=0.07)
+    params.arrays["log_tau"] = params.arrays["log_tau"].reshape(shape)
+    path = tmp_path / "ckpt.cmpr"
+    model.save_checkpoint(path, params, TINY, step=1)
+    loaded = model.load_checkpoint(path)[0]
+    assert loaded.arrays["log_tau"].shape == shape
+    assert list(loaded.arrays) == list(params.arrays)
 
 
 def test_checkpoint_with_heads_key_raises_config_error(tmp_path):

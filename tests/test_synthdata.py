@@ -72,6 +72,29 @@ def test_batch_at_rejects_negative_index_and_unknown_stream():
         sched.batch_at("eye", 0)
 
 
+@pytest.mark.parametrize(
+    "batch_size, seed, message",
+    [(2.5, 0, "batch_size"), (1, 0, "batch_size"), (True, 0, "batch_size"),
+     ("4", 0, "batch_size"), (4, -1, "seed"), (4, 1.0, "seed"), (4, True, "seed")],
+    ids=["batch_float", "batch_one", "batch_bool", "batch_str", "seed_negative",
+         "seed_float", "seed_bool"],
+)
+def test_scheduler_rejects_bad_batch_size_and_seed(batch_size, seed, message):
+    # numpy would otherwise reject a float or negative seed only at the
+    # first batch, and a float batch size not at all before it
+    cohort = build_cohort(40, CohortConfig(), seed=3)
+    with pytest.raises(ContractError, match=f"{message} must be an integer"):
+        StreamScheduler(cohort.samples, batch_size, seed)
+
+
+@pytest.mark.parametrize("index", [1.0, True, "0"], ids=["float", "bool", "str"])
+def test_batch_at_rejects_a_non_integer_index(index):
+    cohort = build_cohort(40, CohortConfig(), seed=3)
+    sched = StreamScheduler(cohort.samples, np.int64(4), seed=np.int64(3))
+    with pytest.raises(ContractError, match="batch index must be an integer"):
+        sched.batch_at("fc", index)
+
+
 # ---------------------------------------------------------------------------
 # generation, splits, persistence and the scheduler's epochs
 # ---------------------------------------------------------------------------
