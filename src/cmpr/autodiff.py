@@ -17,11 +17,23 @@ the backward rules with numpy's floating-point warnings off and checks
 each leaf gradient once at the end, so a gradient that overflowed raises
 ``NonFiniteError`` naming the leaf; interior gradients go unchecked.
 
+A wide tape, one whose widest recorded value holds ``_TWO_WORKER_MIN``
+elements or more, runs its backward on two workers when the process may
+use two CPUs: the calling thread and one helper thread.  The independent
+branches of a step (one encoder pass per stream side) then run their
+rules at once, and numpy and BLAS release the interpreter lock inside
+each kernel.  No bit moves: every rule runs once on the gradient the
+serial walk would give it, and every contribution to a node is added in
+the serial walk's order, so each gradient is the same sum of the same
+arrays.  Below the constant, the serial walk is faster (thread hand-offs
+cost more than the kernels they overlap), and it starts no thread.
+
 A replayed tape is bitwise equal to the first run only at the same BLAS
 thread count: OpenBLAS splits a gemm's sums by thread, so every op that
 runs a gemm (``matmul``, ``linear``, ``attention``, ``mlp``) and all that
 reads them can round otherwise on another count.  ``cmprbench`` pins the
-count to 1.
+count to 1.  At either count, a two-worker backward is bitwise the
+serial one.
 
 ``attention`` and ``mlp`` recompute their wide intermediates when their
 rules run, rather than keep them: ``attention``'s rule keeps only the
@@ -47,14 +59,19 @@ tape to reuse; setting it also stops glibc from moving the mmap threshold.
 Arrays of 32 MiB and more are still mapped and unmapped one by one.  Peak
 RSS is unchanged: the next tape reuses the pages the last one freed.  The
 cost is that the heap is never trimmed, so a process keeps its high-water
-heap until it exits.  Where libc has no ``mallopt`` (macOS, Windows) or
-ignores it (musl), nothing changes.
+heap until it exits.  ``M_ARENA_MAX`` at 1 keeps every thread on that one
+heap: the backward's helper thread would otherwise get an arena of its
+own, whose freed pages the calling thread cannot reuse.  Where libc has no
+``mallopt`` (macOS, Windows) or ignores it (musl), nothing changes.
 """
 
 from __future__ import annotations
 
 import ctypes
+import heapq
 import math
+import os
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,10 +92,17 @@ Scalar = (int, float)
 
 _M_TRIM_THRESHOLD = -1  # glibc's mallopt parameter numbers
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
+
+# The widest value, in elements, from which a backward runs on two
+# workers.  On a 2-CPU host, two workers made a four-stream step take 3%
+# longer at batch 8 (widest value 8,192), and 9% and 20% less time at
+# batch 16 (16,384) and 32 (32,768).
+_TWO_WORKER_MIN = 1 << 14
 
 
 def _keep_freed_memory() -> None:
-    """Keep freed arrays below 32 MiB on the heap for reuse (see above)."""
+    """Keep freed arrays below 32 MiB on the one heap for reuse (see above)."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
@@ -87,6 +111,7 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_memory()
@@ -149,12 +174,17 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of operations; one backward pass per recorded root."""
+    """Ordered record of operations; one backward pass per recorded root.
 
-    __slots__ = ("nodes",)
+    ``widest`` is the size of the widest value ``record`` has checked;
+    ``backward`` runs on two workers from ``_TWO_WORKER_MIN`` elements up.
+    """
+
+    __slots__ = ("nodes", "widest")
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.widest = 0
 
     def leaf(self, value, name: str = "leaf") -> Tensor:
         arr = np.asarray(value, dtype=np.float64)
@@ -171,6 +201,8 @@ class Tape:
     ) -> Tensor:
         value = np.asarray(value, dtype=np.float64)
         _check_finite(value, op)
+        if value.size > self.widest:
+            self.widest = value.size
         return self.append(op, value, parents, backward_fn, rebuild)
 
     def append(
@@ -235,8 +267,11 @@ def backward(tape: Tape, root: Tensor) -> Gradients:
     An interior node's gradient is dropped as soon as its rule has run, so
     at most one frontier of gradients is alive at a time.  The tape itself
     is left intact: a second ``backward`` on it gives the same result.
-    Raises ``NonFiniteError`` naming the first leaf whose gradient is not
-    finite.
+    A wide tape runs on two workers (see the module docstring); its
+    gradients are bitwise the serial walk's, and the first exception a rule
+    raises on either worker is re-raised here.  A rule must return one
+    gradient per input (else ``ContractError``).  Raises ``NonFiniteError``
+    naming the first leaf whose gradient is not finite.
     """
     if root.tape is not tape:
         raise ContractError("root tensor was not recorded on this tape")
@@ -246,25 +281,145 @@ def backward(tape: Tape, root: Tensor) -> Gradients:
         )
     grads: list[np.ndarray | None] = [None] * len(tape.nodes)
     grads[root.index] = np.ones((), dtype=np.float64)
-    with np.errstate(all="ignore"):  # surfaces at the leaf check below
-        for i in range(root.index, -1, -1):
-            g = grads[i]
-            if g is None:
-                continue
-            node = tape.nodes[i]
-            if node.backward_fn is None:
-                continue
-            grads[i] = None
-            for pidx, pg in zip(node.parents, node.backward_fn(g)):
-                if grads[pidx] is None:
-                    grads[pidx] = pg
-                else:
-                    grads[pidx] = grads[pidx] + pg
+    if tape.widest >= _TWO_WORKER_MIN and _cpus() > 1:
+        _walk_on_two_workers(tape.nodes, grads, root.index)
+    else:
+        with np.errstate(all="ignore"):  # surfaces at the leaf check below
+            for i in range(root.index, -1, -1):
+                g = grads[i]
+                if g is None:
+                    continue
+                node = tape.nodes[i]
+                if node.backward_fn is None:
+                    continue
+                grads[i] = None
+                for pidx, pg in zip(node.parents, _run_rule(node, g)):
+                    if grads[pidx] is None:
+                        grads[pidx] = pg
+                    else:
+                        grads[pidx] = grads[pidx] + pg
     # every interior gradient was dropped above, so what is left is a leaf's
     for node, g in zip(tape.nodes, grads):
         if g is not None and not np.all(np.isfinite(g)):
             raise NonFiniteError(f"non-finite gradient reached leaf '{node.op}'")
     return Gradients(tape, grads)
+
+
+def _run_rule(node: Node, g: np.ndarray) -> Sequence[np.ndarray]:
+    """``node``'s rule on its gradient ``g``: one gradient per parent, else
+    ``ContractError``."""
+    pgs = node.backward_fn(g)
+    if len(pgs) != len(node.parents):
+        raise ContractError(
+            f"the rule of op '{node.op}' returned {len(pgs)} gradients "
+            f"for {len(node.parents)} inputs"
+        )
+    return pgs
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS or Windows
+        return os.cpu_count() or 1
+
+
+_helper = None  # (pid, the second worker's one-thread executor)
+
+
+def _helper_executor():
+    """The second worker's executor, made on this process's first
+    two-worker backward; a forked child makes its own, since the parent's
+    thread is not copied into it."""
+    global _helper
+    if _helper is None or _helper[0] != os.getpid():
+        # imported here: it adds 0.65 MB to a process whose tapes are narrow
+        from concurrent.futures import ThreadPoolExecutor
+
+        executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cmpr-backward")
+        _helper = (os.getpid(), executor)
+    return _helper[1]
+
+
+def _walk_on_two_workers(
+    nodes: list[Node], grads: list[np.ndarray | None], root: int
+) -> None:
+    """``backward``'s serial walk, run by the calling thread and the helper.
+
+    A plan pass walks the reached nodes in reverse, as the serial walk
+    does, and gives each contribution to a parent its turn: its position
+    in the serial walk's sum for that parent.  A node is ready once its
+    gradient holds every contribution.  Each worker takes the ready node of
+    highest index, runs its rule outside the lock, then adds each
+    contribution in its turn; one that comes early waits in ``early``
+    until those before it are added.
+    """
+    turns: dict[int, list[int]] = {}  # rule node -> turn of each parent slot
+    need = [0] * len(nodes)  # contributions each node gets; reached if > 0
+    for i in range(root, -1, -1):
+        if (need[i] or i == root) and nodes[i].backward_fn is not None:
+            slots = turns[i] = []
+            for p in nodes[i].parents:
+                slots.append(need[p])
+                need[p] += 1
+
+    added = [0] * len(nodes)
+    early: dict[tuple[int, int], np.ndarray] = {}
+    ready = [-root]  # a heap of negated node indices: highest index first
+    left = len(turns)  # rules still to run
+    failure: list[BaseException] = []
+    cond = threading.Condition()
+
+    def add_in_turn(p: int, turn: int, pg: np.ndarray) -> None:
+        if turn != added[p]:
+            early[p, turn] = pg
+            return
+        while True:
+            grads[p] = pg if grads[p] is None else grads[p] + pg
+            added[p] += 1
+            if (p, added[p]) not in early:
+                break
+            pg = early.pop((p, added[p]))
+        if added[p] == need[p] and nodes[p].backward_fn is not None:
+            heapq.heappush(ready, -p)
+            cond.notify()
+
+    def work() -> None:
+        nonlocal left
+        # numpy's error state is per thread: the helper starts with the default
+        with np.errstate(all="ignore"):  # surfaces at backward's leaf check
+            try:
+                while True:
+                    with cond:
+                        while not ready and left and not failure:
+                            cond.wait()
+                        if failure or not left:
+                            return
+                        i = -heapq.heappop(ready)
+                        g, grads[i] = grads[i], None
+                    pgs = _run_rule(nodes[i], g)
+                    g = None
+                    with cond:
+                        for p, turn, pg in zip(nodes[i].parents, turns[i], pgs):
+                            add_in_turn(p, turn, pg)
+                        pgs = pg = None  # hold no gradient while waiting
+                        left -= 1
+                        if not left:
+                            cond.notify_all()
+            except BaseException as exc:  # re-raised in the caller below
+                with cond:
+                    failure.append(exc)
+                    cond.notify_all()
+
+    # work() catches its own exceptions, and the caller does not wait for
+    # the helper: with no rule left the helper touches nothing, after a
+    # failure it stops once its rule returns, and a rule that runs a
+    # backward of its own on the helper would wait on itself
+    _helper_executor().submit(work)
+    work()
+    if failure:
+        raise failure[0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +504,11 @@ def _gelu_value(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``g`` times gelu's slope at ``x``, whose tanh term is ``t``."""
+def _gelu_grad(
+    x: np.ndarray, t: np.ndarray, g: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``g`` times gelu's slope at ``x``, whose tanh term is ``t``; in
+    ``out`` when given, which may be ``x`` itself."""
     # 0.5*(1 + t) + 0.5*x*(1 - t^2)*C*(1 + 3*A*x^2), built in two buffers
     s = np.asarray(t * t)
     np.subtract(1.0, s, out=s)
@@ -358,7 +516,7 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
     # tanh is exactly +-1 long before |x| reaches _GELU_X_SAT, so there s is
     # 0 and clipping x changes nothing; an x^2 that overflowed would turn
     # the saturated slope 1 (or 0) into Inf * 0 = NaN
-    d = np.asarray(np.clip(x, -_GELU_X_SAT, _GELU_X_SAT))
+    d = np.asarray(np.clip(x, -_GELU_X_SAT, _GELU_X_SAT, out=out))
     d *= d
     d *= 3.0 * _GELU_A
     d += 1.0
@@ -619,7 +777,7 @@ def attention(
     def bwd(g):
         xr = x_again()
         w3, qkv, (q, k, v) = project(xr)
-        ctx = (a @ v).reshape(rows, d)
+        dwo = (a @ v).reshape(rows, d).T @ g  # the context is needed for dwo alone
         dctx = (g @ wvals[3].T).reshape(n, t, d)
         ds = dctx @ v.swapaxes(1, 2)  # d softmax weights, then d scores
         ds -= (ds * a).sum(axis=-1, keepdims=True)
@@ -632,7 +790,7 @@ def attention(
         dv[...] = a.swapaxes(1, 2) @ dctx
         return (
             dqkv @ w3.T,
-            *np.split(xr.T @ dqkv, 3, axis=1), ctx.T @ g,
+            *np.split(xr.T @ dqkv, 3, axis=1), dwo,
             *np.split(dqkv.sum(axis=0), 3)[::2], g.sum(axis=0),
         )
 
@@ -679,7 +837,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         u = pre_activation(xr)
         t = _gelu_tanh(u)
         dw2 = _gelu_value(u, t).T @ g
-        d = _gelu_grad(u, t, g @ w2v.T)
+        d = _gelu_grad(u, t, g @ w2v.T, out=u)  # u is read for the last time
         return d @ w1v.T, xr.T @ d, d.sum(axis=0), dw2, g.sum(axis=0)
 
     parents = (x.index, w1.index, b1.index, w2.index, b2.index)

@@ -68,6 +68,13 @@ def is_int(v) -> bool:
     return isinstance(v, Integral) and not isinstance(v, bool)
 
 
+def check_seed(seed) -> None:
+    """Raise ``ContractError`` unless ``seed`` is an integer >= 0, which
+    is what ``numpy.random.SeedSequence`` takes."""
+    if not (is_int(seed) and seed >= 0):
+        raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def is_real(v) -> bool:
     """Whether ``v`` is a real number; a bool is not one."""
     return isinstance(v, Real) and not isinstance(v, bool)

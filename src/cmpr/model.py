@@ -42,6 +42,7 @@ from .errors import (
     FormatError,
     check_config_keys,
     check_field_types,
+    check_seed,
     manifest_field,
 )
 from .losses import Temperature
@@ -160,7 +161,9 @@ def init_params(
     zero, layer-norm scales one.  ``learnable_tau_init`` adds a ``log_tau``
     scalar initialized to log of the given temperature, which must be
     positive and finite, with a finite inverse (else ``DomainError``).
+    ``seed`` must be an integer >= 0 (else ``ContractError``).
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     arrays: OrderedDict[str, np.ndarray] = OrderedDict()
 
@@ -370,9 +373,11 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path):
     """Read back (params, config, step, manifest_extra, aux_arrays).
 
-    The parameters must be the names and shapes ``init_params`` makes for
-    the stored config, and ``log_tau``, if present, one value of shape ()
-    or (1,); else ``FormatError`` names the file and the first bad key.
+    Every array must be a ``param/`` or ``aux/`` one, the manifest's
+    ``extra`` an object, the parameters the names and shapes
+    ``init_params`` makes for the stored config, and ``log_tau``, if
+    present, one value of shape () or (1,); else ``FormatError`` names the
+    file and the first bad key.
     """
     manifest, arrays = arrayio.read_bundle(path)
     if manifest.get("kind") != "checkpoint":
@@ -384,8 +389,11 @@ def load_checkpoint(path: str | Path):
             params[name[len(_PARAM_PREFIX):]] = arr
         elif name.startswith(_AUX_PREFIX):
             aux[name[len(_AUX_PREFIX):]] = arr
+        else:
+            raise FormatError(f"{path}: array {name!r} is neither a parameter nor aux state")
     config = EncoderConfig.from_dict(manifest_field(path, manifest, "encoder_config", dict))
     step = manifest_field(path, manifest, "step", int)
+    extra = manifest_field(path, manifest, "extra", dict)
     want = {name: a.shape for name, a in init_params(config, seed=0).arrays.items()}
     for name, arr in params.items():
         if name == "log_tau":
@@ -398,4 +406,4 @@ def load_checkpoint(path: str | Path):
             raise FormatError(f"{path}: parameter {name!r} has the wrong shape {arr.shape}")
     if want:
         raise FormatError(f"{path}: parameter {next(iter(want))!r} is missing")
-    return ModelParams(params), config, step, manifest.get("extra", {}), aux
+    return ModelParams(params), config, step, extra, aux

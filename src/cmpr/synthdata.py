@@ -50,6 +50,7 @@ from .errors import (
     FormatError,
     check_config_keys,
     check_field_types,
+    check_seed,
     is_int,
     manifest_field,
 )
@@ -301,7 +302,11 @@ def generate_cohort(
     n_participants: int, config: CohortConfig, seed: int
 ) -> list[CohortSample]:
     """Deterministic cohort; per-participant derived seeds allow parallel
-    generation without changing results."""
+    generation without changing results.  ``n_participants`` must be an
+    integer and ``seed`` an integer >= 0 (else ``ContractError``)."""
+    if not is_int(n_participants):
+        raise ContractError(f"n_participants must be an integer, got {n_participants!r}")
+    check_seed(seed)
     if n_participants < 10:
         raise ConfigError(f"need at least 10 participants, got {n_participants}")
     bank_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
@@ -313,7 +318,9 @@ def generate_cohort(
 
 
 def split_cohort(samples: list[CohortSample], seed: int) -> CohortSplit:
-    """Participant-level 80/20 train/test split, validation = 20% of train."""
+    """Participant-level 80/20 train/test split, validation = 20% of train;
+    ``seed`` must be an integer >= 0 (else ``ContractError``)."""
+    check_seed(seed)
     ids = sorted({s.participant_id for s in samples})
     if len(ids) < 10:
         raise ContractError(f"need at least 10 participants, got {len(ids)}")
@@ -420,8 +427,7 @@ class StreamScheduler:
     def __init__(self, samples: list[CohortSample], batch_size: int, seed: int):
         if not (is_int(batch_size) and batch_size >= 2):
             raise ContractError(f"batch_size must be an integer >= 2, got {batch_size!r}")
-        if not (is_int(seed) and seed >= 0):
-            raise ContractError(f"seed must be an integer >= 0, got {seed!r}")
+        check_seed(seed)
         self.batch_size = batch_size
         self.seed = seed
         self._members = {s: stream_members(samples, s) for s in STREAMS}

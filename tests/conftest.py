@@ -52,3 +52,13 @@ def torn_writes():
             io.open = real_open
 
     return tear
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Every ``backward`` runs on two workers, however narrow its tape and
+    however many CPUs the process may use."""
+    from cmpr import autodiff
+
+    monkeypatch.setattr(autodiff, "_TWO_WORKER_MIN", 0)
+    monkeypatch.setattr(autodiff, "_cpus", lambda: 2)

@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -728,6 +729,189 @@ def test_backward_names_the_leaf_whose_gradient_is_not_finite():
         ad.backward(tape, ad.mean_all(ad.mul(ad.mul(big, tiny), 1e10)))
 
 
+def _branches(tape, leaves, rule):
+    """``add`` of one node per leaf, each recorded with ``rule(i, g)`` as
+    its backward rule; the rules of branch i and i + 1 can run at once."""
+    out = None
+    for i, leaf in enumerate(leaves):
+        b = tape.record(f"branch{i}", leaf.value, (leaf.index,), lambda g, i=i: rule(i, g))
+        out = b if out is None else ad.add(out, b)
+    return out
+
+
+def test_two_workers_add_each_contribution_in_the_serial_order(two_workers):
+    # x gets 1, 1e16 and -1e16 from branches 2, 1 and 0, in that order in
+    # the serial walk: (1 + 1e16) - 1e16 is 0, as 1 + 1e16 rounds to 1e16.
+    # Branch 2 (the first to be ready) waits until branch 0 has run, so
+    # its contribution comes last; added as they came, (1e16 - 1e16) + 1
+    # would be 1
+    tape = ad.Tape()
+    x = tape.leaf(np.zeros(()), name="x")
+    branch0_ran = threading.Event()
+
+    def rule(i, g):
+        if i == 0:
+            branch0_ran.set()
+        elif i == 2 and not branch0_ran.wait(timeout=30):
+            raise TimeoutError("branch 0 never ran")
+        return (g * (-1e16, 1e16, 1.0)[i],)
+
+    loss = _branches(tape, [x, x, x], rule)
+    assert ad.backward(tape, loss).of(x) == 0.0
+    assert branch0_ran.is_set()
+
+
+def test_an_exception_on_the_helper_is_raised_in_the_caller(two_workers):
+    # the barrier holds each worker in one branch's rule until both are,
+    # so the helper runs one of them
+    raised = []
+    barrier = threading.Barrier(2, timeout=30)
+
+    def rule(i, g):
+        barrier.wait()
+        if threading.current_thread() is not threading.main_thread():
+            raised.append(ValueError(f"branch {i} on the helper"))
+            raise raised[0]
+        return (g,)
+
+    tape = ad.Tape()
+    leaves = [tape.leaf(np.ones(2), name=f"x{i}") for i in range(2)]
+    with pytest.raises(ValueError) as info:
+        ad.backward(tape, ad.mean_all(_branches(tape, leaves, rule)))
+    assert info.value is raised[0]
+
+    tape = ad.Tape()
+    x = tape.leaf(np.arange(3.0), name="x")
+    grads = ad.backward(tape, ad.mean_all(ad.mul(x, x)))
+    np.testing.assert_array_equal(grads.of(x), 2.0 * np.arange(3.0) / 3.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflow_on_either_worker_surfaces_at_the_leaf_check(two_workers):
+    # each worker runs one branch's rule, whose product overflows; numpy's
+    # error state is per thread, so a helper that did not set its own
+    # would warn, and the warning would be raised in place of the error
+    barrier = threading.Barrier(2, timeout=30)
+
+    def rule(i, g):
+        barrier.wait()
+        return (g * np.full(2, 1e300) * 1e300,)
+
+    tape = ad.Tape()
+    leaves = [tape.leaf(np.ones(2), name=name) for name in ("a", "b")]
+    with pytest.raises(NonFiniteError, match="leaf 'a'"):
+        ad.backward(tape, ad.mean_all(_branches(tape, leaves, rule)))
+
+
+@pytest.mark.parametrize("forced, started", [(False, 0), (True, 1)],
+                         ids=["narrow", "forced"])
+def test_a_narrow_tape_starts_no_thread(monkeypatch, forced, started):
+    monkeypatch.setattr(ad, "_helper", None)  # as before the first wide backward
+    monkeypatch.setattr(ad, "_cpus", lambda: 2)
+    if forced:
+        monkeypatch.setattr(ad, "_TWO_WORKER_MIN", 0)
+    tape = ad.Tape()
+    x = tape.leaf(np.ones((4, 8)))
+    loss = ad.mean_all(ad.gelu(ad.matmul(x, tape.leaf(np.ones((8, 16))))))
+    assert tape.widest == 64  # the (4, 16) product; leaves do not count
+    before = threading.active_count()
+    try:
+        ad.backward(tape, loss)
+        assert threading.active_count() == before + started
+    finally:
+        if ad._helper is not None:
+            ad._helper[1].shutdown()
+
+
+# two branches whose rules each run a two-worker backward of their own, at
+# once: one on the caller's thread, one on the helper's
+_NESTED_BACKWARD = """
+import threading
+import numpy as np
+from cmpr import autodiff as ad
+
+ad._TWO_WORKER_MIN = 0
+ad._cpus = lambda: 2
+barrier = threading.Barrier(2, timeout=30)
+
+def rule(g):
+    barrier.wait()
+    tape = ad.Tape()
+    x = tape.leaf(np.arange(3.0))
+    ad.backward(tape, ad.mean_all(ad.mul(x, x)))
+    return (g,)
+
+tape = ad.Tape()
+a, b = tape.leaf(np.ones(2)), tape.leaf(np.ones(2))
+branches = [tape.record("branch", v.value, (v.index,), rule) for v in (a, b)]
+grads = ad.backward(tape, ad.mean_all(ad.add(*branches)))
+assert (grads.of(a) == 0.5).all() and (grads.of(b) == 0.5).all()
+"""
+
+
+def _run_python(script):
+    """Run ``script`` in a new interpreter that imports this ``cmpr``, and
+    return what it printed; a non-zero exit fails the test."""
+    src = str(Path(ad.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+
+
+def test_a_rule_may_run_a_backward_of_its_own():
+    # the caller does not wait for the helper, so a backward inside a rule
+    # on the helper's thread cannot wait on itself
+    _run_python(_NESTED_BACKWARD)
+
+
+# a two-worker backward, then the same in a forked child; exits 0 when the
+# child's gradient equals the parent's.  A child that hangs dies at the alarm
+_FORKED_BACKWARD = """
+import os
+import signal
+import numpy as np
+from cmpr import autodiff as ad
+
+ad._TWO_WORKER_MIN = 0
+ad._cpus = lambda: 2
+
+def grad():
+    tape = ad.Tape()
+    x = tape.leaf(np.arange(4.0))
+    return ad.backward(tape, ad.mean_all(ad.gelu(ad.mul(x, x)))).of(x)
+
+want = grad()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)
+    os._exit(0 if grad().tobytes() == want.tobytes() else 1)
+raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_a_forked_child_starts_a_helper_of_its_own():
+    # the parent's helper thread is not copied into a child, so a child
+    # that used the parent's executor would wait on it for ever
+    _run_python(_FORKED_BACKWARD)
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["one_worker", "two_workers"])
+@pytest.mark.parametrize("n_gradients", [1, 3], ids=["too_few", "too_many"])
+def test_a_rule_must_return_one_gradient_per_input(monkeypatch, workers, n_gradients):
+    # on two workers, a parent still waiting for a missing gradient would
+    # never become ready
+    monkeypatch.setattr(ad, "_TWO_WORKER_MIN", 0 if workers == 2 else 1 << 62)
+    monkeypatch.setattr(ad, "_cpus", lambda: 2)
+    tape = ad.Tape()
+    a, b = tape.leaf(np.ones(2)), tape.leaf(np.ones(2))
+    both = tape.record("pair", a.value + b.value, (a.index, b.index),
+                       lambda g: (g,) * n_gradients)
+    with pytest.raises(ContractError, match=f"'pair' returned {n_gradients} gradients for 2"):
+        ad.backward(tape, ad.mean_all(both))
+
+
 def test_nonfinite_forward_is_surfaced():
     tape = ad.Tape()
     x = tape.leaf(np.array([[800.0]]))
@@ -767,18 +951,27 @@ def test_tape_topological_order_invariant():
 # heap policy
 # ---------------------------------------------------------------------------
 
-# 64 arrays of 1 MiB, freed, twice: prints the second round's minor faults
+# 64 arrays of 1 MiB, freed, twice: prints the second round's minor
+# faults.  The first round runs on the thread FIRST_ON names.
 _REALLOC_FAULTS = """
 import resource
+import threading
 import numpy as np
 import cmpr.autodiff
 
-for _ in range(2):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def one_round():
     arrays = [np.ones(1 << 17) for _ in range(64)]
     del arrays
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-print(faults)
+
+if FIRST_ON == "thread":
+    first = threading.Thread(target=one_round)
+    first.start()
+    first.join()
+else:
+    one_round()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+one_round()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
@@ -786,13 +979,15 @@ print(faults)
 def test_freed_arrays_are_reused_without_faulting():
     # by default glibc maps each 1 MiB array on its own and unmaps it on
     # free, so the second round faults in its 16,384 pages afresh
-    src = str(Path(ad.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", _REALLOC_FAULTS],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert int(out.stdout) < 1000
+    assert int(_run_python('FIRST_ON = "main"\n' + _REALLOC_FAULTS)) < 1000
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap policy")
+def test_arrays_a_thread_freed_are_reused_without_faulting():
+    # by default glibc gives a second thread an arena of its own, whose
+    # freed pages the main thread cannot reuse: the backward's helper
+    # thread frees what the caller's thread would allocate again
+    assert int(_run_python('FIRST_ON = "thread"\n' + _REALLOC_FAULTS)) < 1000
 
 
 def _no_libc(name):

@@ -3,7 +3,11 @@
 import dataclasses
 import inspect
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,15 +165,23 @@ def test_init_rejects_bad_learnable_tau(tau, error):
         model.init_params(TINY, seed=0, learnable_tau_init=tau)
 
 
-def test_every_parameter_gets_a_gradient_from_a_four_stream_step():
-    # one step of every objective: the four contrastive pairings (fundus vs
-    # carotid, two fundus visits, two carotid visits, right vs left eye)
-    # share a learnable temperature, and both modalities' prediction and
-    # reconstruction heads read their embeddings.  Every parameter must be
-    # read, and must learn: a key bias, which shifts a softmax row evenly,
-    # would get a gradient of rounding noise (about 1e-20)
-    rng = np.random.default_rng(21)
-    params = model.init_params(TINY, seed=21, learnable_tau_init=0.07)
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1"],
+                         ids=["negative", "float", "bool", "str"])
+def test_init_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # numpy's default_rng raises ValueError or TypeError for these
+    with pytest.raises(ContractError, match="seed must be an integer >= 0"):
+        model.init_params(TINY, seed=seed)
+
+
+def _four_stream_step(seed):
+    """One step of every objective on ``TINY``: (params, view, loss).
+
+    The four contrastive pairings (fundus vs carotid, two fundus visits,
+    two carotid visits, right vs left eye) share a learnable temperature,
+    and both modalities' prediction and reconstruction heads read their
+    embeddings."""
+    rng = np.random.default_rng(seed)
+    params = model.init_params(TINY, seed=seed, learnable_tau_init=0.07)
     view = make_view(params)
     inv_tau = losses.Temperature(0.07, learnable=True).resolve(view["log_tau"])
     images, emb, proj = {}, {}, {}
@@ -194,11 +206,57 @@ def test_every_parameter_gets_a_gradient_from_a_four_stream_step():
     loss = terms[0]
     for term in terms[1:]:
         loss = ad.add(loss, term)
+    return params, view, loss
+
+
+def test_every_parameter_gets_a_gradient_from_a_four_stream_step():
+    # every parameter must be read, and must learn: a key bias, which
+    # shifts a softmax row evenly, would get a gradient of rounding noise
+    # (about 1e-20)
+    params, view, loss = _four_stream_step(21)
     grads = ad.backward(view.tape, loss)
     used = view.used()
     assert sorted(used) == sorted(params.arrays)
     max_grad = {name: np.abs(grads.of(leaf)).max() for name, leaf in used.items()}
     assert {name: g for name, g in max_grad.items() if not g > 1e-12} == {}
+
+
+def test_two_worker_backward_is_bitwise_the_serial_one(monkeypatch, two_workers):
+    # a short switch interval interleaves the two workers' bytecode often,
+    # so an update lost between them would show as a changed bit
+    _, view, loss = _four_stream_step(21)
+    leaves = [i for i, node in enumerate(view.tape.nodes) if node.backward_fn is None]
+    with monkeypatch.context() as serial:
+        serial.setattr(ad, "_TWO_WORKER_MIN", view.tape.widest + 1)
+        want = ad.backward(view.tape, loss)._by_node
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = ad.backward(view.tape, loss)._by_node
+            for i in leaves:
+                assert (got[i] is None) == (want[i] is None), view.tape.nodes[i].op
+                if got[i] is not None:
+                    assert got[i].tobytes() == want[i].tobytes(), view.tape.nodes[i].op
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("blas_threads", ["1", None], ids=["one_blas_thread", "unpinned"])
+def test_two_worker_backward_is_bitwise_at_either_blas_thread_count(blas_threads):
+    # the benchmark pins OpenBLAS to one thread and the tests leave it
+    # unpinned; the count is read when numpy loads, hence a new process
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    test = f"{Path(__file__).name}::test_two_worker_backward_is_bitwise_the_serial_one"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        cwd=Path(__file__).parent, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "1 passed" in out.stdout
 
 
 def test_init_truncation_and_zero_biases():
@@ -680,15 +738,15 @@ def test_checkpoint_malformed_manifest_raises_format_error(tmp_path, change, key
         model.load_checkpoint(path)
 
 
-def _add_key_bias(arrays):
+def _add_key_bias(manifest, arrays):
     arrays["param/fundus.block0.attn.bk"] = np.zeros(TINY.embed_dim)
 
 
-def _drop_param(arrays):
+def _drop_param(manifest, arrays):
     del arrays["param/carotid.pred.b2"]
 
 
-def _reshape_param(arrays):
+def _reshape_param(manifest, arrays):
     arrays["param/fundus.pos"] = arrays["param/fundus.pos"].reshape(-1, 2)
 
 
@@ -699,10 +757,14 @@ def _reshape_param(arrays):
         (_add_key_bias, "'fundus.block0.attn.bk' is not a parameter"),
         (_drop_param, "'carotid.pred.b2' is missing"),
         (_reshape_param, r"'fundus.pos' has the wrong shape \(16, 2\)"),
-        (lambda arrays: arrays.update({"param/log_tau": np.zeros(2)}),
+        (lambda manifest, arrays: arrays.update({"param/log_tau": np.zeros(2)}),
          r"'log_tau' has the wrong shape \(2,\)"),
+        (lambda manifest, arrays: manifest.update(extra=5), "'extra' must be of type dict"),
+        (lambda manifest, arrays: arrays.update(junk=np.ones(2)),
+         "array 'junk' is neither a parameter nor aux state"),
     ],
-    ids=["extra", "missing", "wrong_shape", "log_tau_two_values"],
+    ids=["extra", "missing", "wrong_shape", "log_tau_two_values", "extra_not_object",
+         "stray_array"],
 )
 def test_checkpoint_parameters_must_match_the_config(tmp_path, edit, message):
     from cmpr import arrayio
@@ -710,7 +772,7 @@ def test_checkpoint_parameters_must_match_the_config(tmp_path, edit, message):
     path = tmp_path / "ckpt.cmpr"
     model.save_checkpoint(path, model.init_params(TINY, seed=16), TINY, step=1)
     manifest, arrays = arrayio.read_bundle(path)
-    edit(arrays)
+    edit(manifest, arrays)
     arrayio.write_bundle(path, manifest, arrays)
     with pytest.raises(FormatError, match=f"ckpt.cmpr: .*{message}"):
         model.load_checkpoint(path)

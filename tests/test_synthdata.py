@@ -87,6 +87,27 @@ def test_scheduler_rejects_bad_batch_size_and_seed(batch_size, seed, message):
         StreamScheduler(cohort.samples, batch_size, seed)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: generate_cohort(20.0, CohortConfig(), 1), "n_participants must be an integer"),
+        (lambda: generate_cohort(True, CohortConfig(), 1), "n_participants must be an integer"),
+        (lambda: generate_cohort(20, CohortConfig(), -1), "seed must be an integer >= 0"),
+        (lambda: generate_cohort(20, CohortConfig(), 1.0), "seed must be an integer >= 0"),
+        (lambda: synthdata.split_cohort(generate_cohort(20, CohortConfig(), 1), -3),
+         "seed must be an integer >= 0"),
+        (lambda: synthdata.split_cohort(generate_cohort(20, CohortConfig(), 1), 2.5),
+         "seed must be an integer >= 0"),
+    ],
+    ids=["count_float", "count_bool", "seed_negative", "seed_float", "split_seed_negative",
+         "split_seed_float"],
+)
+def test_cohort_rejects_bad_counts_and_seeds(call, message):
+    # numpy would otherwise raise TypeError or ValueError
+    with pytest.raises(ContractError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("index", [1.0, True, "0"], ids=["float", "bool", "str"])
 def test_batch_at_rejects_a_non_integer_index(index):
     cohort = build_cohort(40, CohortConfig(), seed=3)
