@@ -19,14 +19,15 @@ each leaf gradient once at the end, so a gradient that overflowed raises
 
 A wide tape, one whose widest recorded value holds ``_TWO_WORKER_MIN``
 elements or more, runs its backward on two workers when the process may
-use two CPUs: the calling thread and one helper thread.  The independent
-branches of a step (one encoder pass per stream side) then run their
-rules at once, and numpy and BLAS release the interpreter lock inside
-each kernel.  No bit moves: every rule runs once on the gradient the
-serial walk would give it, and every contribution to a node is added in
-the serial walk's order, so each gradient is the same sum of the same
-arrays.  Below the constant, the serial walk is faster (thread hand-offs
-cost more than the kernels they overlap), and it starts no thread.
+use two CPUs: the calling thread and one helper thread, started for that
+backward and joined before it returns.  The independent branches of a
+step (one encoder pass per stream side) then run their rules at once, and
+numpy and BLAS release the interpreter lock inside each kernel.  No bit
+moves: every rule runs once on the gradient the serial walk would give
+it, and every contribution to a node is added in the serial walk's
+order, so each gradient is the same sum of the same arrays.  Below the
+constant, the serial walk is faster (hand-offs between the workers cost
+more than the kernels they overlap), and it starts no thread.
 
 A replayed tape is bitwise equal to the first run only at the same BLAS
 thread count: OpenBLAS splits a gemm's sums by thread, so every op that
@@ -61,8 +62,12 @@ RSS is unchanged: the next tape reuses the pages the last one freed.  The
 cost is that the heap is never trimmed, so a process keeps its high-water
 heap until it exits.  ``M_ARENA_MAX`` at 1 keeps every thread on that one
 heap: the backward's helper thread would otherwise get an arena of its
-own, whose freed pages the calling thread cannot reuse.  Where libc has no
-``mallopt`` (macOS, Windows) or ignores it (musl), nothing changes.
+own, whose freed pages the calling thread cannot reuse.  These settings
+hold for the whole process, not for ``cmpr`` alone: with one arena, every
+thread that allocates (data loaders, BLAS threads, a caller's own pool)
+takes that arena's lock, which may serialise their allocations.  Where
+libc has no ``mallopt`` (macOS, Windows) or ignores it (musl), nothing
+changes.
 """
 
 from __future__ import annotations
@@ -95,9 +100,9 @@ _M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
 
 # The widest value, in elements, from which a backward runs on two
-# workers.  On a 2-CPU host, two workers made a four-stream step take 3%
-# longer at batch 8 (widest value 8,192), and 9% and 20% less time at
-# batch 16 (16,384) and 32 (32,768).
+# workers.  On a 2-vCPU host, two workers made a four-stream step take 12%
+# longer at batch 8 (widest value 8,192; median of 10 benchmark process
+# pairs), and 9% and 20% less time at batch 16 (16,384) and 32 (32,768).
 _TWO_WORKER_MIN = 1 << 14
 
 
@@ -269,9 +274,10 @@ def backward(tape: Tape, root: Tensor) -> Gradients:
     is left intact: a second ``backward`` on it gives the same result.
     A wide tape runs on two workers (see the module docstring); its
     gradients are bitwise the serial walk's, and the first exception a rule
-    raises on either worker is re-raised here.  A rule must return one
-    gradient per input (else ``ContractError``).  Raises ``NonFiniteError``
-    naming the first leaf whose gradient is not finite.
+    raises on either worker is re-raised here once both have stopped.  A
+    rule must return one gradient per input (else ``ContractError``).
+    Raises ``NonFiniteError`` naming the first leaf whose gradient is not
+    finite.
     """
     if root.tape is not tape:
         raise ContractError("root tensor was not recorded on this tape")
@@ -325,27 +331,11 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-_helper = None  # (pid, the second worker's one-thread executor)
-
-
-def _helper_executor():
-    """The second worker's executor, made on this process's first
-    two-worker backward; a forked child makes its own, since the parent's
-    thread is not copied into it."""
-    global _helper
-    if _helper is None or _helper[0] != os.getpid():
-        # imported here: it adds 0.65 MB to a process whose tapes are narrow
-        from concurrent.futures import ThreadPoolExecutor
-
-        executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cmpr-backward")
-        _helper = (os.getpid(), executor)
-    return _helper[1]
-
-
 def _walk_on_two_workers(
     nodes: list[Node], grads: list[np.ndarray | None], root: int
 ) -> None:
-    """``backward``'s serial walk, run by the calling thread and the helper.
+    """``backward``'s serial walk, run by the calling thread and a helper
+    thread that is joined before this returns.
 
     A plan pass walks the reached nodes in reverse, as the serial walk
     does, and gives each contribution to a parent its turn: its position
@@ -412,12 +402,12 @@ def _walk_on_two_workers(
                     failure.append(exc)
                     cond.notify_all()
 
-    # work() catches its own exceptions, and the caller does not wait for
-    # the helper: with no rule left the helper touches nothing, after a
-    # failure it stops once its rule returns, and a rule that runs a
-    # backward of its own on the helper would wait on itself
-    _helper_executor().submit(work)
+    # work() catches its own exceptions, so the helper is always joined;
+    # after a failure it stops once the rule it is running returns
+    helper = threading.Thread(target=work, name="cmpr-backward")
+    helper.start()
     work()
+    helper.join()
     if failure:
         raise failure[0]
 

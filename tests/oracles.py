@@ -314,6 +314,24 @@ def sum_all(x):
     return x.tape.record("sum_all", out, (x.index,), bwd)
 
 
+def backward_serial(tape, root):
+    """Gradients by node index from one plain reverse walk of ``tape`` from
+    scalar ``root`` on this thread: each reached rule run in turn, each
+    contribution added as it comes.  Interior gradients are dropped, so
+    what is left is the leaves'."""
+    grads = [None] * len(tape.nodes)
+    grads[root.index] = np.ones((), dtype=np.float64)
+    with np.errstate(all="ignore"):
+        for i in range(root.index, -1, -1):
+            node = tape.nodes[i]
+            if grads[i] is None or node.backward_fn is None:
+                continue
+            g, grads[i] = grads[i], None
+            for p, pg in zip(node.parents, node.backward_fn(g)):
+                grads[p] = pg if grads[p] is None else grads[p] + pg
+    return grads
+
+
 def held_arrays(fn, skip):
     """Arrays a function keeps through its closure cells, walked as
     ``test_no_backward_rule_captures_a_tensor`` walks them, into the lists

@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -803,24 +804,36 @@ def test_an_overflow_on_either_worker_surfaces_at_the_leaf_check(two_workers):
         ad.backward(tape, ad.mean_all(_branches(tape, leaves, rule)))
 
 
-@pytest.mark.parametrize("forced, started", [(False, 0), (True, 1)],
-                         ids=["narrow", "forced"])
-def test_a_narrow_tape_starts_no_thread(monkeypatch, forced, started):
-    monkeypatch.setattr(ad, "_helper", None)  # as before the first wide backward
-    monkeypatch.setattr(ad, "_cpus", lambda: 2)
-    if forced:
+@pytest.mark.parametrize("wide, cpus, started", [
+    (False, 2, 0), (True, 1, 0), (True, 2, 1),
+], ids=["narrow", "wide_one_cpu", "wide_two_cpus"])
+def test_a_backward_joins_the_one_thread_it_starts(monkeypatch, wide, cpus, started):
+    # the helper lives for one backward, and only for a wide tape where two
+    # CPUs may run it; one that lingers after its last rule is waited for
+    class Lingering(threading.Thread):
+        def run(self):
+            super().run()
+            time.sleep(0.05)
+
+    monkeypatch.setattr(threading, "Thread", Lingering)
+    monkeypatch.setattr(ad, "_cpus", lambda: cpus)
+    if wide:
         monkeypatch.setattr(ad, "_TWO_WORKER_MIN", 0)
+    before = threading.active_count()
+    during = []
+
+    def rule(g):
+        during.append(threading.active_count())
+        return (g,)
+
     tape = ad.Tape()
     x = tape.leaf(np.ones((4, 8)))
-    loss = ad.mean_all(ad.gelu(ad.matmul(x, tape.leaf(np.ones((8, 16))))))
+    y = ad.gelu(ad.matmul(x, tape.leaf(np.ones((8, 16)))))
+    loss = ad.mean_all(tape.record("count", y.value, (y.index,), rule))
     assert tape.widest == 64  # the (4, 16) product; leaves do not count
-    before = threading.active_count()
-    try:
-        ad.backward(tape, loss)
-        assert threading.active_count() == before + started
-    finally:
-        if ad._helper is not None:
-            ad._helper[1].shutdown()
+    ad.backward(tape, loss)
+    assert during == [before + started]
+    assert threading.active_count() == before
 
 
 # two branches whose rules each run a two-worker backward of their own, at
@@ -860,8 +873,8 @@ def _run_python(script):
 
 
 def test_a_rule_may_run_a_backward_of_its_own():
-    # the caller does not wait for the helper, so a backward inside a rule
-    # on the helper's thread cannot wait on itself
+    # the backward inside a rule on the helper's thread starts and joins a
+    # helper of its own; a subprocess, so a hang fails at the timeout
     _run_python(_NESTED_BACKWARD)
 
 
@@ -891,9 +904,9 @@ raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
-def test_a_forked_child_starts_a_helper_of_its_own():
-    # the parent's helper thread is not copied into a child, so a child
-    # that used the parent's executor would wait on it for ever
+def test_a_forked_child_runs_a_two_worker_backward():
+    # no thread is copied into a forked child, so a child that counted on
+    # one of the parent's would wait for it for ever
     _run_python(_FORKED_BACKWARD)
 
 

@@ -25,6 +25,7 @@ from cmpr.model import EncoderConfig, ParamView
 
 from oracles import (
     assert_grads_close,
+    backward_serial,
     encode_loops,
     expected_param_count,
     gelu_tanh_elementwise,
@@ -221,14 +222,12 @@ def test_every_parameter_gets_a_gradient_from_a_four_stream_step():
     assert {name: g for name, g in max_grad.items() if not g > 1e-12} == {}
 
 
-def test_two_worker_backward_is_bitwise_the_serial_one(monkeypatch, two_workers):
+def test_two_worker_backward_is_bitwise_the_serial_one(two_workers):
     # a short switch interval interleaves the two workers' bytecode often,
     # so an update lost between them would show as a changed bit
     _, view, loss = _four_stream_step(21)
     leaves = [i for i, node in enumerate(view.tape.nodes) if node.backward_fn is None]
-    with monkeypatch.context() as serial:
-        serial.setattr(ad, "_TWO_WORKER_MIN", view.tape.widest + 1)
-        want = ad.backward(view.tape, loss)._by_node
+    want = backward_serial(view.tape, loss)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
