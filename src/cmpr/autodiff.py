@@ -3,8 +3,8 @@
 Only the operations the model and losses actually need are implemented;
 this is not a general autodiff framework.  Broadcasting is deliberately
 narrow: ``add`` and ``sub`` take two Tensors of equal shape; ``mul`` also
-takes a Python scalar or a 0-d Tensor; ``matmul`` takes two 2-D operands;
-``add_bias`` adds a bias shaped like the trailing dims; and
+takes a Python scalar, or a 0-d Tensor on the right; ``matmul`` takes two
+2-D operands; ``add_bias`` adds a bias shaped like the trailing dims; and
 ``concat_rows`` stacks 2-D Tensors of one width along the rows.
 Every op that computes new values checks them for NaN/Inf and raises
 instead of propagating garbage.  The shape ops (``reshape``,
@@ -36,17 +36,18 @@ reads them can round otherwise on another count.  ``cmprbench`` pins the
 count to 1.  At either count, a two-worker backward is bitwise the
 serial one.
 
-``attention`` and ``mlp`` recompute their wide intermediates when their
-rules run, rather than keep them: ``attention``'s rule keeps only the
-(N, T, T) softmax weights and recomputes q/k/v and the context, and
-``mlp``'s keeps no (rows, hidden) array and recomputes the pre-activation
-and gelu's tanh term, each bitwise as the forward computed them.  Both
-read their input again through ``Tensor.rebuild`` when it has one, as a
-``layer_norm`` output does: ``layer_norm`` recomputes
-``xhat * gamma + beta`` from its normalized input ``xhat`` and its
-parameters, which its own rule keeps anyway, and its forward value comes
-from the same expression, so a rebuild is bitwise equal to the forward
-value.  Every other op keeps what it reads.
+``attention`` and ``mlp`` are the encoder's two pre-norm sublayers, each
+one node: ``x + f(layer_norm(x))``, with ``f`` the self-attention or the
+two-layer GELU MLP.  They recompute their wide intermediates when their
+rules run, rather than keep them.  Each rule keeps the layer norm's
+normalized rows ``xhat`` and inverse deviations and the parameter values,
+and ``attention``'s also its (N, T, T) softmax weights.  From these it
+recomputes the norm's output ``xhat * gamma + beta``, then ``f``'s
+intermediates (q/k/v and the context, or the pre-activation and gelu's
+tanh term), each bitwise as the forward computed them.  It frees them
+before the norm's gradient, which both sublayers share, and adds the
+residual's gradient into that of ``x``.  Every other op keeps what it
+reads.
 
 Importing this module sets glibc's heap policy for the process, once.  A
 dropped tape frees hundreds of activation arrays; by default glibc maps
@@ -92,6 +93,7 @@ from .errors import (
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _GELU_X_SAT = 1e150  # gelu's backward clips x to this before squaring it
+_LN_EPS = 1e-5  # added to each row's variance in the sublayers' layer norm
 
 Scalar = (int, float)
 
@@ -146,26 +148,15 @@ class Tensor:
     """A float64 array recorded on a tape.
 
     Tensors are immutable views into the tape: they pair a node index with
-    the forward value computed for that node.  ``rebuild``, when not None,
-    is a zero-argument function that returns an array bitwise equal to
-    ``value`` from arrays the producing op's backward rule holds anyway;
-    ``attention`` and ``mlp`` keep it in place of ``value``, so ``value``
-    is freed with the Tensor.  ``layer_norm`` sets it.
+    the forward value computed for that node.
     """
 
-    __slots__ = ("tape", "index", "value", "rebuild")
+    __slots__ = ("tape", "index", "value")
 
-    def __init__(
-        self,
-        tape: "Tape",
-        index: int,
-        value: np.ndarray,
-        rebuild: Callable[[], np.ndarray] | None = None,
-    ):
+    def __init__(self, tape: "Tape", index: int, value: np.ndarray):
         self.tape = tape
         self.index = index
         self.value = value
-        self.rebuild = rebuild
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -202,13 +193,12 @@ class Tape:
         value: np.ndarray,
         parents: tuple[int, ...],
         backward_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-        rebuild: Callable[[], np.ndarray] | None = None,
     ) -> Tensor:
         value = np.asarray(value, dtype=np.float64)
         _check_finite(value, op)
         if value.size > self.widest:
             self.widest = value.size
-        return self.append(op, value, parents, backward_fn, rebuild)
+        return self.append(op, value, parents, backward_fn)
 
     def append(
         self,
@@ -216,12 +206,11 @@ class Tape:
         value: np.ndarray,
         parents: tuple[int, ...],
         backward_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None,
-        rebuild: Callable[[], np.ndarray] | None = None,
     ) -> Tensor:
         """Record ``value`` unchecked: only for a float64 view of a value
         this tape already checked."""
         self.nodes.append(Node(op, parents, backward_fn))
-        return Tensor(self, len(self.nodes) - 1, value, rebuild)
+        return Tensor(self, len(self.nodes) - 1, value)
 
 
 class Gradients:
@@ -445,20 +434,17 @@ def mul(a: Tensor, b) -> Tensor:
             out = a.value * s
         return a.tape.record("scale", out, (a.index,), lambda g: (g * s,))
     tape = _same_tape(a, b)
-    if a.shape != b.shape and a.value.ndim and b.value.ndim:
+    if a.shape != b.shape and b.value.ndim:  # a 0-d b scales every entry of a
         raise DimensionError(f"mul shapes {a.shape} vs {b.shape}")
     with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
         out = a.value * b.value
     av, bv = a.value, b.value
 
     def bwd(g):
-        ga = g * bv
         gb = g * av
-        if av.ndim == 0 and bv.ndim != 0:
-            ga = np.sum(ga)
         if bv.ndim == 0 and av.ndim != 0:
             gb = np.sum(gb)
-        return ga, gb
+        return g * bv, gb
 
     return tape.record("mul", out, (a.index, b.index), bwd)
 
@@ -707,24 +693,67 @@ def take_diagonal(x: Tensor) -> Tensor:
     return x.tape.record("take_diagonal", out, (x.index,), bwd)
 
 
+def _layer_norm(xv, gv, bv, op: str):
+    """The sublayers' layer norm of the rows of ``xv``: the normalized rows
+    ``xhat``, their inverse deviations ``inv`` and the output.  An infinite
+    variance (it would scale every entry to 0) raises ``NonFiniteError``
+    naming ``op``.  An output that overflows is left to the sublayer's next
+    check: it makes its rows of the gemm it feeds non-finite."""
+    with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
+        mu = xv.mean(axis=-1, keepdims=True)
+        xhat = xv - mu
+        var = (xhat * xhat).mean(axis=-1, keepdims=True)
+        _check_finite(var, op)
+        inv = 1.0 / np.sqrt(var + _LN_EPS)
+        xhat *= inv
+        return xhat, inv, _affine(xhat, gv, bv)
+
+
+def _affine(xhat, gv, bv):
+    """The layer norm's output ``xhat * gamma + beta``, in a new array."""
+    out = xhat * gv
+    out += bv
+    return out
+
+
+def _norm_grad(dh, g, xhat, inv, gv):
+    """The ``x``, ``gamma`` and ``beta`` gradients of a sublayer
+    ``x + f(xhat * gamma + beta)`` with output gradient ``g``, from the
+    gradient ``dh`` of ``f``'s input."""
+    gx = dh * xhat
+    dgamma = gx.sum(axis=0)
+    dbeta = dh.sum(axis=0)
+    m2 = (gx * gv).mean(axis=-1, keepdims=True)  # mean(dxhat * xhat)
+    dx = dh * gv  # dxhat
+    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= xhat * m2
+    dx *= inv
+    dx += g  # the residual
+    return dx, dgamma, dbeta
+
+
 def attention(
-    x: Tensor, ws: Sequence[Tensor], bs: Sequence[Tensor], n: int
+    x: Tensor, gamma: Tensor, beta: Tensor, ws: Sequence[Tensor],
+    bs: Sequence[Tensor], n: int,
 ) -> Tensor:
-    """Single-head self-attention within each of ``n`` samples, as one node.
+    """The pre-norm self-attention sublayer ``x + attn(layer_norm(x))`` as
+    one node, single-head within each of ``n`` samples.
 
-    ``x`` is the (n*T, D) token matrix, ``ws`` the (D, D) weights ``wq``,
-    ``wk``, ``wv``, ``wo`` and ``bs`` the (D,) biases ``bq``, ``bv``, ``bo``
-    (a key bias shifts a softmax row evenly, so no gradient reaches it).  Per
-    sample the output is ``softmax(q k^T / sqrt(D)) v @ wo + bo``.
+    ``x`` is the (n*T, D) token matrix, ``gamma`` and ``beta`` the (D,)
+    norm scale and shift, ``ws`` the (D, D) weights ``wq``, ``wk``, ``wv``,
+    ``wo`` and ``bs`` the (D,) biases ``bq``, ``bv``, ``bo`` (a key bias
+    shifts a softmax row evenly, so no gradient reaches it).  Per sample,
+    with ``h = layer_norm(x)``, ``attn`` is
+    ``softmax(q k^T / sqrt(D)) v @ wo + bo``.
 
-    The rule keeps the (n, T, T) softmax weights, the parameter values and
-    ``x``'s rebuild (``x``'s value if it has none), and no other (n*T, D)
-    array: it recomputes q/k/v from ``x``, bitwise as the forward did, and
-    the context from them.  The gradients of q, k and v are filled into one
-    (n*T, 3D) block, so ``x``'s comes from one gemm and the three weights'
-    from one ``x.T @ g``.
+    The rule keeps the norm's ``xhat`` and inverse deviations, the
+    (n, T, T) softmax weights and the parameter values, and no other
+    (n*T, D) array: it recomputes ``h``, q/k/v from it and the context from
+    them, bitwise as the forward did.  The gradients of q, k and v are
+    filled into one (n*T, 3D) block, so ``h``'s comes from one gemm and the
+    three weights' from one ``h.T @ g``.
     """
-    tape = _same_tape(x, *ws, *bs)
+    tape = _same_tape(x, gamma, beta, *ws, *bs)
     if len(ws) != 4 or len(bs) != 3:
         raise ContractError(
             f"attention takes 4 weights and 3 biases, got {len(ws)} and {len(bs)}"
@@ -734,25 +763,27 @@ def attention(
     rows, d = x.shape
     if n < 1 or rows % n:
         raise DimensionError(f"attention cannot split {rows} rows into {n} samples")
-    if any(w.shape != (d, d) for w in ws) or any(b.shape != (d,) for b in bs):
+    vectors = (gamma, beta, *bs)
+    if any(w.shape != (d, d) for w in ws) or any(v.shape != (d,) for v in vectors):
         raise DimensionError(
-            f"attention weights {[w.shape for w in ws]} and biases "
-            f"{[b.shape for b in bs]} for x {x.shape}"
+            f"attention weights {[w.shape for w in ws]} and vectors "
+            f"{[v.shape for v in vectors]} for x {x.shape}"
         )
     t = rows // n
-    xv = x.value
+    gv, bv = gamma.value, beta.value
     wvals, bvals = [w.value for w in ws], [b.value for b in bs]
     scale = 1.0 / math.sqrt(d)
 
-    def project(xv):
+    def project(h):
         """[wq|wk|wv], the (n*T, 3D) q/k/v block and its three (n, T, D) views."""
         w3 = np.concatenate(wvals[:3], axis=1)
-        qkv = xv @ w3
+        qkv = h @ w3
         qkv += np.concatenate([bvals[0], np.zeros(d), bvals[1]])  # no key bias
         return w3, qkv, [p.reshape(n, t, d) for p in np.split(qkv, 3, axis=1)]
 
+    xhat, inv, h = _layer_norm(x.value, gv, bv, "attention")
     with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFiniteError
-        _, qkv, (q, k, v) = project(xv)
+        _, qkv, (q, k, v) = project(h)
         _check_finite(qkv, "attention")
         a = q @ k.swapaxes(1, 2)
         a *= scale
@@ -762,11 +793,11 @@ def attention(
         a /= a.sum(axis=-1, keepdims=True)
         out = (a @ v).reshape(rows, d) @ wvals[3]
         out += bvals[2]
-    x_again = x.rebuild or (lambda: xv)
+        out += x.value
 
     def bwd(g):
-        xr = x_again()
-        w3, qkv, (q, k, v) = project(xr)
+        h = _affine(xhat, gv, bv)
+        w3, qkv, (q, k, v) = project(h)
         dwo = (a @ v).reshape(rows, d).T @ g  # the context is needed for dwo alone
         dctx = (g @ wvals[3].T).reshape(n, t, d)
         ds = dctx @ v.swapaxes(1, 2)  # d softmax weights, then d scores
@@ -778,101 +809,68 @@ def attention(
         dq[...] = ds @ k
         dk[...] = ds.swapaxes(1, 2) @ q
         dv[...] = a.swapaxes(1, 2) @ dctx
-        return (
-            dqkv @ w3.T,
-            *np.split(xr.T @ dqkv, 3, axis=1), dwo,
-            *np.split(dqkv.sum(axis=0), 3)[::2], g.sum(axis=0),
-        )
+        dh, dw3, db = dqkv @ w3.T, np.split(h.T @ dqkv, 3, axis=1), dqkv.sum(axis=0)
+        del h, qkv, q, k, v, dctx, ds, dqkv, dq, dk, dv  # freed before the norm's gradient
+        return (*_norm_grad(dh, g, xhat, inv, gv),
+                *dw3, dwo, *np.split(db, 3)[::2], g.sum(axis=0))
 
-    parents = (x.index, *(w.index for w in ws), *(b.index for b in bs))
+    parents = tuple(p.index for p in (x, gamma, beta, *ws, *bs))
     return tape.record("attention", out, parents, bwd)
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one node.
+def mlp(
+    x: Tensor, gamma: Tensor, beta: Tensor,
+    w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+) -> Tensor:
+    """The pre-norm MLP sublayer ``x + m(layer_norm(x))`` as one node, with
+    ``m = linear(gelu(linear(., w1, b1)), w2, b2)``.
 
-    The forward makes those three ops' numpy calls in their order, so its
-    value is bitwise theirs; it checks the pre-activation and the output.
-    The rule keeps the parameter values and ``x``'s rebuild (``x``'s value
-    if it has none), and no (rows, hidden) array: it recomputes the
-    pre-activation and gelu's tanh term from ``x``, bitwise as the forward
-    did, and returns bitwise the gradients the three ops' rules return.
+    The forward makes those ops' numpy calls, and the residual ``add``'s,
+    in their order, so its value is bitwise theirs; it checks the norm's
+    variance, the pre-activation and the output.  The rule keeps the
+    norm's ``xhat`` and inverse deviations and the parameter values, and no
+    (rows, hidden) array: it recomputes the norm's output, the
+    pre-activation and gelu's tanh term, bitwise as the forward did, and
+    returns bitwise the weight gradients the three ops' rules return.
     """
-    tape = _same_tape(x, w1, b1, w2, b2)
-    if (x.value.ndim != 2 or w1.value.ndim != 2 or w2.value.ndim != 2
-            or x.shape[1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
-            or b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],)):
+    tape = _same_tape(x, gamma, beta, w1, b1, w2, b2)
+    if (x.value.ndim != 2 or w1.value.ndim != 2
+            or x.shape[1] != w1.shape[0] or w2.shape != (w1.shape[1], x.shape[1])
+            or b1.shape != (w1.shape[1],)
+            or any(v.shape != (x.shape[1],) for v in (gamma, beta, b2))):
         raise DimensionError(
-            f"mlp shapes x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, "
-            f"w2 {w2.shape}, b2 {b2.shape}"
+            f"mlp shapes x {x.shape}, gamma {gamma.shape}, beta {beta.shape}, "
+            f"w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}"
         )
-    xv = x.value
+    gv, bv = gamma.value, beta.value
     w1v, b1v, w2v, b2v = w1.value, b1.value, w2.value, b2.value
 
-    def pre_activation(xv):
+    def pre_activation(h):
         with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFiniteError
-            u = xv @ w1v
+            u = h @ w1v
             u += b1v
         return u
 
-    u = pre_activation(xv)
+    xhat, inv, h = _layer_norm(x.value, gv, bv, "mlp")
+    u = pre_activation(h)
     _check_finite(u, "mlp")
     with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFiniteError
         out = _gelu_value(u, _gelu_tanh(u)) @ w2v
         out += b2v
-    x_again = x.rebuild or (lambda: xv)
+        out += x.value
 
     def bwd(g):
-        xr = x_again()
-        u = pre_activation(xr)
+        h = _affine(xhat, gv, bv)
+        u = pre_activation(h)
         t = _gelu_tanh(u)
         dw2 = _gelu_value(u, t).T @ g
         d = _gelu_grad(u, t, g @ w2v.T, out=u)  # u is read for the last time
-        return d @ w1v.T, xr.T @ d, d.sum(axis=0), dw2, g.sum(axis=0)
+        dh, dw1, db1 = d @ w1v.T, h.T @ d, d.sum(axis=0)
+        del h, u, t, d  # freed before the norm's gradient
+        return (*_norm_grad(dh, g, xhat, inv, gv), dw1, db1, dw2, g.sum(axis=0))
 
-    parents = (x.index, w1.index, b1.index, w2.index, b2.index)
+    parents = tuple(p.index for p in (x, gamma, beta, w1, b1, w2, b2))
     return tape.record("mlp", out, parents, bwd)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply learnable scale and shift."""
-    tape = _same_tape(x, gamma, beta)
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise DimensionError(
-            f"layer_norm affine params must have shape ({d},), "
-            f"got {gamma.shape} and {beta.shape}"
-        )
-    with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteError
-        mu = x.value.mean(axis=-1, keepdims=True)
-        xhat = x.value - mu
-        var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    _check_finite(var, "layer_norm")
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    gv, bv = gamma.value, beta.value
-
-    def rebuild():
-        out = xhat * gv
-        out += bv
-        return out
-
-    lead = tuple(range(x.value.ndim - 1))
-
-    def bwd(g):
-        gx = g * xhat
-        dgamma = gx.sum(axis=lead) if lead else gx
-        dbeta = g.sum(axis=lead) if lead else g
-        m2 = (gx * gv).mean(axis=-1, keepdims=True)  # mean(dxhat * xhat)
-        dx = g * gv  # dxhat
-        dx -= dx.mean(axis=-1, keepdims=True)
-        dx -= xhat * m2
-        dx *= inv
-        return dx, dgamma, dbeta
-
-    return tape.record(
-        "layer_norm", rebuild(), (x.index, gamma.index, beta.index), bwd, rebuild
-    )
 
 
 def _mean(v: np.ndarray, n: int, axis: int | None = None) -> np.ndarray:

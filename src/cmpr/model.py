@@ -2,13 +2,14 @@
 
 Per modality: a small pre-norm vision transformer (patch embedding +
 learned positions, single-head self-attention blocks on the flat (N*T, D)
-token matrix, each attention sublayer one ``attention`` tape node and
-each MLP sublayer one ``mlp`` node, mean-pooled tokens), a linear
-projection head for the contrastive space, a 2-layer GELU MLP (one
-``mlp`` node) for measure prediction, and a decoder for
-reconstruction: a linear seed feature map, then transposed
+token matrix, mean-pooled tokens), a linear projection head for the
+contrastive space, a 2-layer GELU MLP for measure prediction, and a
+decoder for reconstruction: a linear seed feature map, then transposed
 convolutions with kernel 2 and stride 2, each built as a matmul and a
-pixel shuffle, with GELU between them.
+pixel shuffle, with GELU between them.  Each block is two sublayers
+``x + f(layer_norm(x))``, and each sublayer is one tape node: the
+attention sublayer one ``attention`` node, the MLP sublayer one ``mlp``
+node, each with its layer norm and residual add inside.
 
 The prediction and decoding heads read the pre-projection encoder
 embedding, which preserves more information than the projection.
@@ -18,10 +19,10 @@ embedding, which preserves more information than the projection.
 joins the pooled tiles with ``concat_rows``.  A tile's widest activation
 is then 1,024 x 128 float64 (1 MiB), so it stays in a 2 MiB L2 cache from
 one op to the next; a 256-image batch's 4 MiB arrays stream from L3 on
-every mlp, layer_norm and add.  The split changes no forward value (a row
-of a gemm does not depend on how many rows the gemm has).  All tiles share
-the ParamView's parameter leaves, so parameter gradients add up across
-tiles.  A batch of one tile records exactly the untiled tape.
+every sublayer.  The split changes no forward value (a row of a gemm does
+not depend on how many rows the gemm has).  All tiles share the
+ParamView's parameter leaves, so parameter gradients add up across tiles.
+A batch of one tile records exactly the untiled tape.
 """
 
 from __future__ import annotations
@@ -244,11 +245,6 @@ def _linear(view: ParamView, x: Tensor, prefix: str) -> Tensor:
     return ad.linear(x, view[f"{prefix}.w"], view[f"{prefix}.b"])
 
 
-def _mlp(view: ParamView, prefix: str, x: Tensor) -> Tensor:
-    """linear -> GELU -> linear with ``{prefix}.w1/b1/w2/b2``, one ``mlp`` node."""
-    return ad.mlp(x, *(view[f"{prefix}.{p}"] for p in ("w1", "b1", "w2", "b2")))
-
-
 def encode(
     view: ParamView, config: EncoderConfig, images: np.ndarray, modality: str
 ) -> Tensor:
@@ -282,12 +278,13 @@ def _encode_tile(
     x = ad.reshape(tok, (n * t, d))
     for i in range(config.depth):
         p = f"{modality}.block{i}"
-        normed = ad.layer_norm(x, view[f"{p}.ln1.g"], view[f"{p}.ln1.b"])
-        ws = [view[f"{p}.attn.w{c}"] for c in "qkvo"]
-        bs = [view[f"{p}.attn.b{c}"] for c in "qvo"]
-        x = ad.add(x, ad.attention(normed, ws, bs, n))
-        normed = ad.layer_norm(x, view[f"{p}.ln2.g"], view[f"{p}.ln2.b"])
-        x = ad.add(x, _mlp(view, f"{p}.mlp", normed))
+        x = ad.attention(
+            x, view[f"{p}.ln1.g"], view[f"{p}.ln1.b"],
+            [view[f"{p}.attn.w{c}"] for c in "qkvo"],
+            [view[f"{p}.attn.b{c}"] for c in "qvo"], n,
+        )
+        x = ad.mlp(x, *(view[f"{p}.{q}"] for q in (
+            "ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")))
     return ad.mean_axis(ad.reshape(x, (n, t, d)), 1)
 
 
@@ -300,7 +297,9 @@ def predict_measures(
     view: ParamView, config: EncoderConfig, emb: Tensor, modality: str
 ) -> Tensor:
     """linear -> GELU -> linear measure predictions, (N, n_measures)."""
-    return _mlp(view, f"{modality}.pred", emb)
+    p = f"{modality}.pred"
+    hidden = ad.gelu(ad.linear(emb, view[f"{p}.w1"], view[f"{p}.b1"]))
+    return ad.linear(hidden, view[f"{p}.w2"], view[f"{p}.b2"])
 
 
 def _upsample2x(x: Tensor, kernel: Tensor) -> Tensor:

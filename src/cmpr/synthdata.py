@@ -535,8 +535,10 @@ def load_cohort(path: str | Path) -> Cohort:
 
     A manifest key that is missing or of the wrong type, an array that is
     missing or whose shape disagrees with the config and the other arrays'
-    length, and a label, visit or participant id column holding a value it
-    cannot hold raise ``FormatError`` naming the file and the key.
+    length, a label, visit or participant id column holding a value it
+    cannot hold, and a split entry that is not an integer, is not a
+    ``participant_id`` in the arrays or repeats an id of any split raise
+    ``FormatError`` naming the file and the key.
     """
     manifest, arrays = arrayio.read_bundle(path)
     if manifest.get("kind") != "cohort":
@@ -562,6 +564,15 @@ def load_cohort(path: str | Path) -> Cohort:
     if not (np.isfinite(pid) & (pid == np.trunc(pid))).all():
         raise FormatError(f"{path}: cohort array 'participant_id' holds a "
                           f"non-integral or non-finite value")
+    known, seen = set(pid.tolist()), set()
+    for name in _SPLITS:
+        for i in split.of(name):
+            problem = ("is not an integer" if type(i) is not int
+                       else "is no participant_id of the arrays" if i not in known
+                       else "is listed twice across the splits" if i in seen else None)
+            if problem:
+                raise FormatError(f"{path}: split {name!r} entry {i!r} {problem}")
+            seen.add(i)
 
     fr, fl, car, measures, diagnosis, prognosis, presence, pid, visit = (
         arrays[name] for name in shapes

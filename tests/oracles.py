@@ -84,6 +84,35 @@ def layer_norm_rows(
     return out.reshape(x.shape)
 
 
+def attention_rows(
+    normed: np.ndarray, wq, wk, wv, wo, bq, bv, bo
+) -> np.ndarray:
+    """Single-head softmax attention over the (T, D) token rows of one
+    sample, one token at a time; no key bias."""
+    t, d = normed.shape
+    q = [row @ wq + bq for row in normed]
+    k = [row @ wk for row in normed]
+    v = [row @ wv + bv for row in normed]
+    out = np.zeros((t, d))
+    for a in range(t):
+        scores = [float(q[a] @ k[j]) / math.sqrt(d) for j in range(t)]
+        top = max(scores)
+        weights = [math.exp(s - top) for s in scores]
+        total = sum(weights)
+        ctx = sum(wt / total * v[j] for j, wt in enumerate(weights))
+        out[a] = ctx @ wo + bo
+    return out
+
+
+def mlp_rows(normed: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
+    """linear -> tanh GELU -> linear, one row at a time."""
+    out = np.zeros((normed.shape[0], w2.shape[1]))
+    for a, row in enumerate(normed):
+        hidden, _ = gelu_tanh_elementwise(row @ w1 + b1)
+        out[a] = hidden @ w2 + b2
+    return out
+
+
 def encode_loops(
     arrays: dict[str, np.ndarray],
     modality: str,
@@ -110,29 +139,15 @@ def encode_loops(
                              gj * patch:(gj + 1) * patch].reshape(-1)
                 tokens.append(pixels @ p("patch.w") + p("patch.b"))
         x = np.array(tokens) + p("pos")
-        t, d = x.shape
+        t = x.shape[0]
         for i in range(depth):
             b = f"block{i}"
             normed = layer_norm_rows(x, p(f"{b}.ln1.g"), p(f"{b}.ln1.b"))
-            q = [row @ p(f"{b}.attn.wq") + p(f"{b}.attn.bq") for row in normed]
-            k = [row @ p(f"{b}.attn.wk") for row in normed]
-            v = [row @ p(f"{b}.attn.wv") + p(f"{b}.attn.bv") for row in normed]
-            attended = np.zeros((t, d))
-            for a in range(t):
-                scores = [float(q[a] @ k[j]) / math.sqrt(d) for j in range(t)]
-                top = max(scores)
-                weights = [math.exp(s - top) for s in scores]
-                total = sum(weights)
-                ctx = sum(wt / total * v[j] for j, wt in enumerate(weights))
-                attended[a] = ctx @ p(f"{b}.attn.wo") + p(f"{b}.attn.bo")
-            x = x + attended
+            x = x + attention_rows(normed, *(
+                p(f"{b}.attn.{w}") for w in ("wq", "wk", "wv", "wo", "bq", "bv", "bo")
+            ))
             normed = layer_norm_rows(x, p(f"{b}.ln2.g"), p(f"{b}.ln2.b"))
-            mlp = np.zeros((t, d))
-            for a in range(t):
-                pre = normed[a] @ p(f"{b}.mlp.w1") + p(f"{b}.mlp.b1")
-                hidden, _ = gelu_tanh_elementwise(pre)
-                mlp[a] = hidden @ p(f"{b}.mlp.w2") + p(f"{b}.mlp.b2")
-            x = x + mlp
+            x = x + mlp_rows(normed, *(p(f"{b}.mlp.{w}") for w in ("w1", "b1", "w2", "b2")))
         out.append(sum(x[a] for a in range(t)) / t)
     return np.array(out)
 

@@ -1,6 +1,7 @@
 """Tape engine: forward semantics, backward rules vs finite differences."""
 
 import ctypes
+import functools
 import gc
 import math
 import os
@@ -27,12 +28,38 @@ from cmpr.errors import (
 
 from oracles import (
     assert_grads_close,
+    attention_rows,
     gelu_tanh_elementwise,
     held_arrays,
     layer_norm_rows,
     matmul_triple_loop,
+    mlp_rows,
     sum_all,
 )
+
+
+# the parameters each sublayer takes after x, gamma and beta, in its order
+SUBLAYER_WEIGHTS = {
+    "attention": ("wq", "wk", "wv", "wo", "bq", "bv", "bo"),
+    "mlp": ("w1", "b1", "w2", "b2"),
+}
+
+
+def sublayer(kind, x, gamma, beta, *weights, n=2):
+    """The ``kind`` sublayer on Tensors, its weights in ``SUBLAYER_WEIGHTS``
+    order; attention splits the rows into ``n`` samples."""
+    if kind == "attention":
+        return ad.attention(x, gamma, beta, weights[:4], weights[4:], n)
+    return ad.mlp(x, gamma, beta, *weights)
+
+
+def sublayer_arrays(kind, rng, d):
+    """Random weights of a width-``d`` ``kind`` sublayer, in
+    ``SUBLAYER_WEIGHTS`` order; mlp's hidden width is ``2 * d``."""
+    shapes = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+              "w1": (d, 2 * d), "b1": (2 * d,), "w2": (2 * d, d)}
+    return [rng.standard_normal(shapes.get(name, (d,))) / math.sqrt(d)
+            for name in SUBLAYER_WEIGHTS[kind]]
 
 
 def fd_check(build, params, seeds_note="", rtol=1e-5, atol=1e-8):
@@ -224,14 +251,21 @@ def test_linear_overflow_raises_nonfinite():
         ("mul", ad.mul, ([1e200, 1.0], [1e200, 1.0])),
         ("scale", lambda a: ad.mul(a, 1e200), ([1e200, 1.0],)),
         ("add_bias", ad.add_bias, ([[1e308, 1.0]], [1e308, 0.0])),
-        ("mlp", ad.mlp, ([[1e200, 1e200]], [[1e200], [1.0]], [0.0], [[1.0]], [0.0])),
-        ("mlp", ad.mlp, ([[1.0]], [[1e200]], [0.0], [[1e200]], [0.0])),
+        # a one-wide row normalizes to 0, so the norm's output is beta
+        ("mlp", ad.mlp, ([[1.0]], [1.0], [1e200], [[1e200]], [0.0], [[1.0]], [0.0])),
+        ("mlp", ad.mlp, ([[1.0]], [1.0], [1.0], [[1e200]], [0.0], [[1e200]], [0.0])),
+        ("mlp", ad.mlp, ([[1.7e308]], [1.0], [1.0], [[1.0]], [0.0], [[1e308]], [0.0])),
+        ("attention", functools.partial(sublayer, "attention", n=1),
+         ([[1.7e308]], [1.0], [1.0], [[0.0]], [[0.0]], [[1.0]], [[1e308]],
+          [0.0], [0.0], [0.0])),
     ],
     ids=["matmul", "add", "sub", "mul", "scale", "add_bias", "mlp_pre_activation",
-         "mlp_output"],
+         "mlp_output", "mlp_residual", "attention_residual"],
 )
 def test_overflowing_output_raises_nonfinite(name, op, inputs):
-    # as linear above; matmul's Inf - Inf is numpy's "invalid" warning
+    # as linear above; matmul's Inf - Inf is numpy's "invalid" warning.  In
+    # the residual cases the sublayer's own output is finite, and x plus it
+    # is not
     tape = ad.Tape()
     with pytest.raises(NonFiniteError, match=f"'{name}'"):
         op(*[tape.leaf(v) for v in inputs])
@@ -242,29 +276,46 @@ _C = math.sqrt(math.sqrt(2.0) * 1e308)
 
 
 def _attention_of_weights(x, w):
-    """Attention with ``w`` as both wq and wk, identity wv and wo and zero
-    biases: with ``x`` the identity too, the output is the softmax weights."""
-    eye, zero = x.tape.leaf(np.eye(2)), x.tape.leaf(np.zeros(2))
-    return ad.attention(x, [w, w, eye, eye], [zero] * 3, 1)
+    """The attention sublayer with ``w`` as both wq and wk, with v the
+    identity and zero biases.  Rows of +-2**20 have a variance of 2**40,
+    to which eps adds nothing, so they normalize exactly to rows of +-1;
+    on the x below the output is x plus the softmax weights."""
+    tape = x.tape
+    ones, zeros = tape.leaf(np.ones(2)), tape.leaf(np.zeros(2))
+    # wv and bv take the normalized rows [1, -1] and [-1, 1] to the identity
+    wv, bv, eye = tape.leaf(0.5 * np.eye(2)), tape.leaf(np.full(2, 0.5)), tape.leaf(np.eye(2))
+    return ad.attention(x, ones, zeros, [w, w, wv, eye], [zeros, bv, zeros], 1)
+
+
+_POW = 2.0**20
 
 
 @pytest.mark.parametrize(
     "op, inputs, want",
     [
-        (ad.layer_norm, ([1e200, -1e200, 0.0], np.ones(3), np.full(3, 0.5)),
-         NonFiniteError),
+        (ad.mlp, ([[1e200, -1e200, 0.0]], np.ones(3), np.full(3, 0.5),
+                  np.ones((3, 6)), np.zeros(6), np.ones((6, 3)), np.zeros(3)),
+         (NonFiniteError, "mlp")),
+        (functools.partial(sublayer, "attention", n=1),
+         ([[1e200, -1e200, 0.0]], np.ones(3), np.full(3, 0.5),
+          *(np.ones((3, 3)),) * 4, *(np.zeros(3),) * 3),
+         (NonFiniteError, "attention")),
         (ad.gelu, ([1e103, -1e103],), np.array([1e103, -0.0])),
         (ad.gelu, ([1.7e308, -1.7e308],), np.array([1.7e308, -0.0])),
-        (ad.mlp, ([[1.0]], [[1e103, -1e103]], [0.0, 0.0], np.eye(2), [0.0, 0.0]),
-         np.array([[1e103, -0.0]])),
+        # equal entries normalize to 0, so the norm's output is beta
+        (ad.mlp, ([[5.0, 5.0]], np.ones(2), [1.0, 0.0], [[1e103, -1e103], [0.0, 0.0]],
+                  [0.0, 0.0], np.eye(2), [0.0, 0.0]),
+         np.array([[1e103, 5.0]])),
         (lambda x: ad.mean_axis(x, 1), ([[1e308, 1e308], [0.1, 0.2]],),
          np.array([1e308, np.mean([0.1, 0.2])])),
         (ad.mean_all, ([1e308, 1e308],), np.array(1e308)),
-        (_attention_of_weights, (np.eye(2), [[_C, 0.0], [-_C, 0.0]]), np.eye(2)),
+        (_attention_of_weights, ([[_POW, -_POW], [-_POW, _POW]], [[_C / 2, 0.0], [-_C / 2, 0.0]]),
+         np.array([[_POW + 1.0, -_POW], [-_POW, _POW + 1.0]])),
         (ad.row_logsumexp, ([[1e308, -1e308]],), np.array([1e308])),
     ],
-    ids=["layer_norm_variance", "gelu_cubic", "gelu_product", "mlp_cubic",
-         "mean_axis_sum", "mean_all_sum", "softmax_shift", "row_logsumexp_shift"],
+    ids=["layer_norm_variance", "layer_norm_variance_in_attention", "gelu_cubic",
+         "gelu_product", "mlp_cubic", "mean_axis_sum", "mean_all_sum", "softmax_shift",
+         "row_logsumexp_shift"],
 )
 def test_overflow_inside_an_op(op, inputs, want):
     # an intermediate that overflows ends in the op's own answer, never in
@@ -273,16 +324,30 @@ def test_overflow_inside_an_op(op, inputs, want):
     # of +-1e103 gives gelu's value, a mean is finite though its sum is
     # not, and x - max(x) overflows only to -inf, whose exp is exactly 0:
     # attention's scores of +-1e308 give the one-hot softmax),
-    # else NonFiniteError naming the op (an infinite variance would scale
-    # every entry to zero); the row whose sum did not overflow keeps the
-    # plain mean's bits
+    # else NonFiniteError naming the op (an infinite variance in a
+    # sublayer's layer norm would scale every entry to zero); the row whose
+    # sum did not overflow keeps the plain mean's bits
     tape = ad.Tape()
     leaves = [tape.leaf(v) for v in inputs]
-    if isinstance(want, type):
-        with pytest.raises(want, match=f"'{op.__name__}'"):
+    if isinstance(want, tuple):
+        error, name = want
+        with pytest.raises(error, match=f"'{name}'"):
             op(*leaves)
     else:
         np.testing.assert_array_equal(op(*leaves).value, want)
+
+
+@pytest.mark.parametrize("kind", SUBLAYER_WEIGHTS)
+def test_a_non_finite_norm_output_names_the_sublayer(kind):
+    # the row [2, -1, -1] normalizes to about [1.41, -0.71, -0.71], so a
+    # gamma of 1.5e308 overflows the norm's output, though not its
+    # variance; the q/k/v block or pre-activation it feeds is not finite
+    tape = ad.Tape()
+    weights = [tape.leaf(w) for w in sublayer_arrays(kind, np.random.default_rng(0), 3)]
+    x = tape.leaf([[2.0, -1.0, -1.0]])
+    gamma, beta = tape.leaf(np.full(3, 1.5e308)), tape.leaf(np.zeros(3))
+    with pytest.raises(NonFiniteError, match=f"'{kind}'"):
+        sublayer(kind, x, gamma, beta, *weights, n=1)
 
 
 # ---------------------------------------------------------------------------
@@ -386,29 +451,37 @@ def test_gelu_slope_is_exact_where_x_squared_overflows(magnitude, sign, slope):
 
 
 def test_layer_norm_matches_row_oracle():
+    # each sublayer's value is x + f(layer_norm(x)), with the norm and f
+    # from the row oracles; attention splits the six rows into two samples
     rng = np.random.default_rng(31)
     d = GRID.size
     gamma = rng.standard_normal(d) + 1.0
     beta = rng.standard_normal(d)
-    rows = np.stack([np.roll(GRID, i) * (i + 1) for i in range(6)])
-    for x in (GRID, rows.reshape(2, 3, d)):
+    x = np.stack([np.roll(GRID, i) * (i + 1) for i in range(6)])
+    normed = layer_norm_rows(x, gamma, beta)
+    for kind in SUBLAYER_WEIGHTS:
+        weights = sublayer_arrays(kind, rng, d)
+        if kind == "attention":
+            f = np.concatenate([attention_rows(h, *weights) for h in np.split(normed, 2)])
+        else:
+            f = mlp_rows(normed, *weights)
         tape = ad.Tape()
-        out = ad.layer_norm(tape.leaf(x), tape.leaf(gamma), tape.leaf(beta))
-        np.testing.assert_allclose(
-            out.value, layer_norm_rows(x, gamma, beta), rtol=1e-12, atol=1e-12
-        )
+        out = sublayer(kind, *(tape.leaf(v) for v in (x, gamma, beta, *weights)))
+        np.testing.assert_allclose(out.value, x + f, rtol=1e-12, atol=1e-12)
 
 
 def test_gelu_and_layer_norm_leave_inputs_intact():
+    # neither gelu nor a sublayer, whose layer norm and residual add run
+    # in its own arrays, writes into its inputs or its output gradient
     rng = np.random.default_rng(32)
-    x = rng.standard_normal((2, 3, 5))
+    x = rng.standard_normal((6, 5))
     gamma, beta = rng.standard_normal(5), rng.standard_normal(5)
-    g = rng.standard_normal((2, 3, 5))
+    g = rng.standard_normal((6, 5))
     cases = [
         (ad.gelu, (x,), g),
         (ad.gelu, (np.asarray(0.7),), np.asarray(1.3)),
-        (ad.layer_norm, (x, gamma, beta), g),
-        (ad.layer_norm, (x[0, 0], gamma, beta), g[0, 0]),
+        *((functools.partial(sublayer, kind), (x, gamma, beta, *sublayer_arrays(kind, rng, 5)), g)
+          for kind in SUBLAYER_WEIGHTS),
     ]
     for op, inputs, grad_out in cases:
         arrays = (*inputs, grad_out)
@@ -419,10 +492,11 @@ def test_gelu_and_layer_norm_leave_inputs_intact():
 
 
 def test_second_backward_is_bitwise_equal():
-    # a backward rule that wrote into an array its closure captured, or
-    # into one a rebuild reads, would change the second pass; mlp and
-    # attention both rebuild their layer_norm input, and recompute from it
-    # the pre-activation and tanh term, and q/k/v and the context
+    # a backward rule that wrote into an array its closure captured would
+    # change the second pass; both sublayers recompute their norm's output
+    # from the rows they keep, and from it the pre-activation and tanh
+    # term, or q/k/v and the context.  x is read by both, and the mlp's
+    # weights by two mlps
     rng = np.random.default_rng(33)
     tape = ad.Tape()
     names = ["x", "gamma", "beta", "w1", "b1", "w2", "b2"]
@@ -432,10 +506,9 @@ def test_second_backward_is_bitwise_equal():
     )
     aw = [tape.leaf(rng.standard_normal((6, 6)), name=f"w{p}") for p in "qkvo"]
     ab = [tape.leaf(rng.standard_normal(6), name=f"b{p}") for p in "qvo"]
-    normed = ad.layer_norm(x, gamma, beta)
-    hdn = ad.mlp(normed, w1, b1, w2, b2)
-    ctx = ad.attention(normed, aw, ab, 2)
-    out = ad.add(hdn, ad.mlp(ctx, w1, b1, w2, b2))
+    hdn = ad.mlp(x, gamma, beta, w1, b1, w2, b2)
+    ctx = ad.attention(x, gamma, beta, aw, ab, 2)
+    out = ad.add(hdn, ad.mlp(ctx, gamma, beta, w1, b1, w2, b2))
     loss = sum_all(ad.mul(out, tape.leaf(rng.standard_normal((6, 6)))))
     first = ad.backward(tape, loss)
     second = ad.backward(tape, loss)
@@ -443,56 +516,32 @@ def test_second_backward_is_bitwise_equal():
         assert first.of(t).tobytes() == second.of(t).tobytes()
 
 
-def _layer_norm_out(tape, rng):
-    return ad.layer_norm(
-        tape.leaf(rng.standard_normal((6, 4))),
-        tape.leaf(rng.standard_normal(4) + 1.0),
-        tape.leaf(rng.standard_normal(4)),
-    )
+def _held_by_rule(y, params):
+    """The arrays ``y``'s rule keeps besides ``params``, once each, smallest
+    first."""
+    rule = y.tape.nodes[y.index].backward_fn
+    held = {id(a): a for a in held_arrays(rule, [p.value for p in params])}
+    return sorted(held.values(), key=lambda a: a.size)
 
 
-def _attention_reader(tape, rng):
-    ws = [tape.leaf(rng.standard_normal((4, 4))) for _ in range(4)]
-    bs = [tape.leaf(rng.standard_normal(4)) for _ in range(3)]
-    return lambda h: ad.attention(h, ws, bs, 2)
-
-
-def _mlp_reader(tape, rng):
-    w1, b1 = tape.leaf(rng.standard_normal((4, 8))), tape.leaf(rng.standard_normal(8))
-    w2, b2 = tape.leaf(rng.standard_normal((8, 3))), tape.leaf(rng.standard_normal(3))
-    return lambda h: ad.mlp(h, w1, b1, w2, b2)
-
-
-# each makes the op that reads a (6, 4) layer_norm output
-READERS = {"attention": _attention_reader, "mlp": _mlp_reader}
-
-
-@pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
-def test_reader_rebuilds_its_input_instead_of_keeping_it(reader):
-    # the layer_norm output is freed with its Tensor while the op that read
-    # it stays on the tape, and the reader's rule still gives bitwise what
-    # it gives for a leaf holding a copy of that output
-    rng = np.random.default_rng(7)
-    tape = ad.Tape()
-    h = _layer_norm_out(tape, rng)
-    read = reader(tape, rng)
-    y = read(h)
-    y_leaf = read(tape.leaf(h.value.copy()))
-    outputs = [weakref.ref(v) for v in (h.value, h.value.base) if v is not None]
-    del h
-    gc.collect()
-    assert all(ref() is None for ref in outputs)
-    g = rng.standard_normal(y.shape)
-    got = tape.nodes[y.index].backward_fn(g)
-    want = tape.nodes[y_leaf.index].backward_fn(g)
-    assert y.value.tobytes() == y_leaf.value.tobytes()
-    for dgot, dwant in zip(got, want, strict=True):
-        assert dgot.shape == dwant.shape and dgot.tobytes() == dwant.tobytes()
+def _assert_norm_rows(inv, xhat, x, d):
+    """``inv`` and ``xhat`` are the layer norm's inverse deviations and
+    normalized rows of ``x``, and ``xhat`` is not ``x`` or the affine
+    output."""
+    assert inv.shape == (len(x.value), 1) and xhat.shape == x.shape
+    assert xhat is not x.value
+    np.testing.assert_allclose(xhat, layer_norm_rows(x.value, np.ones(d), np.zeros(d)),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(xhat / inv, x.value - x.value.mean(axis=1, keepdims=True),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_attention_rule_keeps_only_its_softmax_weights(monkeypatch):
-    # n = 2 samples of T = 3 tokens of width D = 8, so any (n*T, D) array
-    # the rule kept would be larger than the (n, T, T) softmax weights
+    # n = 2 samples of T = 3 tokens of width D = 8, so the (n*T, D) q/k/v
+    # views and context would be easy to tell from the (n, T, T) softmax
+    # weights; besides those, the rule keeps the layer norm's (n*T, D)
+    # normalized rows and (n*T, 1) inverse deviations, which the norm's
+    # gradient needs
     n, t, d = 2, 3, 8
     rng = np.random.default_rng(34)
     checked = []
@@ -505,66 +554,66 @@ def test_attention_rule_keeps_only_its_softmax_weights(monkeypatch):
     real_check_finite = ad._check_finite
     monkeypatch.setattr(ad, "_check_finite", check_finite)
     tape = ad.Tape()
-    x = ad.layer_norm(tape.leaf(rng.standard_normal((n * t, d))),
-                      tape.leaf(np.ones(d)), tape.leaf(np.zeros(d)))
+    x = tape.leaf(rng.standard_normal((n * t, d)) * 3.0 + 1.0)
+    gamma, beta = tape.leaf(rng.standard_normal(d) + 1.0), tape.leaf(rng.standard_normal(d))
     ws = [tape.leaf(rng.standard_normal((d, d))) for _ in range(4)]
     bs = [tape.leaf(rng.standard_normal(d)) for _ in range(3)]
-    y = ad.attention(x, ws, bs, n)
+    y = ad.attention(x, gamma, beta, ws, bs, n)
     gc.collect()
     # the forward's q/k/v block was checked, and is freed once the op returns
     assert len(checked) == 1 and checked[0]() is None
-    # the parameter values are the leaves', and x's rebuild is the
-    # layer_norm's, whose own rule holds its arrays anyway
-    rule = tape.nodes[y.index].backward_fn
-    params = [p.value for p in (*ws, *bs)]
-    held = held_arrays(rule, [x.rebuild, *params])
-    largest = max(held, key=lambda arr: arr.size)
-    assert largest.shape == (n, t, t)
-    np.testing.assert_allclose(largest.sum(axis=-1), 1.0, rtol=1e-12)
-    assert [arr.shape for arr in held] == [(n, t, t)]
-    assert any(c.cell_contents is x.rebuild for c in rule.__closure__)
+    # the parameter values are the leaves'
+    inv, softmax, xhat = _held_by_rule(y, [gamma, beta, *ws, *bs])
+    assert softmax.shape == (n, t, t)
+    np.testing.assert_allclose(softmax.sum(axis=-1), 1.0, rtol=1e-12)
+    _assert_norm_rows(inv, xhat, x, d)
 
 
-def _mlp_and_composition(x_kind, rows, d, hidden, out):
-    """Value and rule outputs of ``mlp`` and of ``linear(gelu(linear()))``
-    on equal inputs, each on its own tape; the composition's rules are run
-    by hand, the three ops' in reverse."""
+def _mlp_and_composition(rows, d, hidden):
+    """Value and weight gradients of an ``mlp`` sublayer and of
+    ``add(x, linear(gelu(linear(h))))`` on equal inputs, each on its own
+    tape, with the layer norm's output ``h`` made by the numpy calls the
+    sublayer makes; the composition's rules are run by hand, in reverse."""
     results = []
     for fused in (True, False):
         rng = np.random.default_rng(35)
         tape = ad.Tape()
         x = tape.leaf(rng.standard_normal((rows, d)))
-        if x_kind == "layer_norm":
-            x = ad.layer_norm(x, tape.leaf(rng.standard_normal(d) + 1.0),
-                              tape.leaf(rng.standard_normal(d)))
+        gamma = tape.leaf(rng.standard_normal(d) + 1.0)
+        beta = tape.leaf(rng.standard_normal(d))
         w1 = tape.leaf(rng.standard_normal((d, hidden)) / math.sqrt(d))
         b1 = tape.leaf(rng.standard_normal(hidden))
-        w2 = tape.leaf(rng.standard_normal((hidden, out)) / math.sqrt(hidden))
-        b2 = tape.leaf(rng.standard_normal(out))
-        g = rng.standard_normal((rows, out))
+        w2 = tape.leaf(rng.standard_normal((hidden, d)) / math.sqrt(hidden))
+        b2 = tape.leaf(rng.standard_normal(d))
+        g = rng.standard_normal((rows, d))
         if fused:
-            y = ad.mlp(x, w1, b1, w2, b2)
-            grads = tape.nodes[y.index].backward_fn(g)
+            y = ad.mlp(x, gamma, beta, w1, b1, w2, b2)
+            grads = tape.nodes[y.index].backward_fn(g)[3:]
         else:
-            pre = ad.linear(x, w1, b1)
+            xhat = x.value - x.value.mean(axis=-1, keepdims=True)
+            xhat *= 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + ad._LN_EPS)
+            h = xhat * gamma.value
+            h += beta.value
+            pre = ad.linear(tape.leaf(h), w1, b1)
             hdn = ad.gelu(pre)
-            y = ad.linear(hdn, w2, b2)
-            dh, dw2, db2 = tape.nodes[y.index].backward_fn(g)
+            m = ad.linear(hdn, w2, b2)
+            y = ad.add(x, m)
+            _, dm = tape.nodes[y.index].backward_fn(g)
+            dh, dw2, db2 = tape.nodes[m.index].backward_fn(dm)
             (du,) = tape.nodes[hdn.index].backward_fn(dh)
-            dx, dw1, db1 = tape.nodes[pre.index].backward_fn(du)
-            grads = (dx, dw1, db1, dw2, db2)
+            _, dw1, db1 = tape.nodes[pre.index].backward_fn(du)
+            grads = (dw1, db1, dw2, db2)
         results.append((y.value, grads))
     return results
 
 
-@pytest.mark.parametrize("x_kind", ["leaf", "layer_norm"])
 @pytest.mark.parametrize(
-    "rows, d, hidden, out", [(5, 3, 4, 2), (1024, 64, 128, 64)], ids=["tiny", "tile"]
+    "rows, d, hidden", [(5, 3, 4), (1024, 64, 128)], ids=["tiny", "tile"]
 )
-def test_mlp_is_bitwise_linear_gelu_linear(x_kind, rows, d, hidden, out):
+def test_mlp_is_bitwise_linear_gelu_linear(rows, d, hidden):
     # the tile is the encoder's: 64 images of 16 tokens, width 64, hidden 128
-    (y_f, grads_f), (y_c, grads_c) = _mlp_and_composition(x_kind, rows, d, hidden, out)
-    assert y_f.shape == (rows, out) and y_f.tobytes() == y_c.tobytes()
+    (y_f, grads_f), (y_c, grads_c) = _mlp_and_composition(rows, d, hidden)
+    assert y_f.shape == (rows, d) and y_f.tobytes() == y_c.tobytes()
     for got, want in zip(grads_f, grads_c, strict=True):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -582,33 +631,53 @@ def test_mlp_rule_keeps_no_hidden_array(monkeypatch):
     real_check_finite = ad._check_finite
     monkeypatch.setattr(ad, "_check_finite", check_finite)
     tape = ad.Tape()
-    x = ad.layer_norm(tape.leaf(rng.standard_normal((rows, d))),
-                      tape.leaf(np.ones(d)), tape.leaf(np.zeros(d)))
+    x = tape.leaf(rng.standard_normal((rows, d)) * 3.0 + 1.0)
     params = [tape.leaf(rng.standard_normal(s))
-              for s in ((d, hidden), (hidden,), (hidden, d), (d,))]
+              for s in ((d,), (d,), (d, hidden), (hidden,), (hidden, d), (d,))]
     y = ad.mlp(x, *params)
     gc.collect()
     # the forward's pre-activation was checked, and is freed once the op
     # returns
     assert len(checked) == 1 and checked[0]() is None
-    # the parameter values are the leaves', and x's rebuild is the
-    # layer_norm's, whose own rule holds its arrays anyway
-    rule = tape.nodes[y.index].backward_fn
-    assert held_arrays(rule, [x.rebuild, *(p.value for p in params)]) == []
-    assert any(c.cell_contents is x.rebuild for c in rule.__closure__)
+    # the parameter values are the leaves'; the rule keeps only the layer
+    # norm's normalized rows and inverse deviations
+    _assert_norm_rows(*_held_by_rule(y, params), x, d)
+
+
+_MLP_SHAPES = {"x": (2, 4), "gamma": (4,), "beta": (4,), "w1": (4, 5), "b1": (5,),
+               "w2": (5, 4), "b2": (4,)}
 
 
 @pytest.mark.parametrize(
-    "shapes",
-    [((2, 3, 4), (4, 5), (5,), (5, 2), (2,)), ((2, 3), (4, 5), (5,), (5, 2), (2,)),
-     ((2, 4), (4, 5), (4,), (5, 2), (2,)), ((2, 4), (4, 5), (5,), (4, 2), (2,)),
-     ((2, 4), (4, 5), (5,), (5, 2), (5,)), ((2, 4), (4, 5), (5,), (5,), (2,))],
-    ids=["x_3d", "inner_dims", "b1_length", "w2_rows", "b2_length", "w2_1d"],
+    "changed",
+    [{"x": (2, 3, 4)}, {"x": (2, 3), "gamma": (3,), "beta": (3,)}, {"b1": (4,)},
+     {"w2": (4, 4)}, {"b2": (5,)}, {"w2": (5,)}, {"w2": (5, 2), "b2": (2,)},
+     {"gamma": (5,)}, {"beta": (1, 4)}],
+    ids=["x_3d", "inner_dims", "b1_length", "w2_rows", "b2_length", "w2_1d",
+         "output_width", "gamma_length", "beta_2d"],
 )
-def test_mlp_shape_errors(shapes):
+def test_mlp_shape_errors(changed):
+    # output_width: the residual adds x to the MLP's output, so both are
+    # as wide
     tape = ad.Tape()
+    shapes = {**_MLP_SHAPES, **changed}
     with pytest.raises(DimensionError, match="mlp"):
-        ad.mlp(*(tape.leaf(np.ones(s)) for s in shapes))
+        ad.mlp(*(tape.leaf(np.ones(s)) for s in shapes.values()))
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [{"x": (4,)}, {"x": (5, 2)}, {"wv": (2, 3)}, {"bo": (3,)}, {"gamma": (3,)},
+     {"beta": (1, 2)}],
+    ids=["x_1d", "rows_per_sample", "weight", "bias", "gamma_length", "beta_2d"],
+)
+def test_attention_shape_errors(changed):
+    tape = ad.Tape()
+    shapes = {"x": (4, 2), "gamma": (2,), "beta": (2,),
+              **{w: (2, 2) if w[0] == "w" else (2,) for w in SUBLAYER_WEIGHTS["attention"]},
+              **changed}
+    with pytest.raises(DimensionError, match="attention"):
+        sublayer("attention", *(tape.leaf(np.ones(s)) for s in shapes.values()))
 
 
 @pytest.mark.parametrize("n_ws, n_bs", [(4, 4), (4, 2), (3, 3)],
@@ -618,10 +687,11 @@ def test_attention_takes_four_weights_and_three_biases(n_ws, n_bs):
     # reaches
     tape = ad.Tape()
     x = tape.leaf(np.ones((4, 2)))
+    gamma, beta = tape.leaf(np.ones(2)), tape.leaf(np.zeros(2))
     ws = [tape.leaf(np.eye(2)) for _ in range(n_ws)]
     bs = [tape.leaf(np.zeros(2)) for _ in range(n_bs)]
     with pytest.raises(ContractError, match=f"4 weights and 3 biases, got {n_ws} and {n_bs}"):
-        ad.attention(x, ws, bs, 2)
+        ad.attention(x, gamma, beta, ws, bs, 2)
 
 
 def test_equal_shape_only_broadcasting():
@@ -632,10 +702,12 @@ def test_equal_shape_only_broadcasting():
         ad.add(a, b)
     with pytest.raises(DimensionError):
         ad.mul(a, b)
-    # mul alone also takes a scalar or a 0-d Tensor; add and sub take
-    # neither
+    # mul alone also takes a scalar, or a 0-d Tensor on the right; add and
+    # sub take neither
     s = tape.leaf(np.float64(2.0))
     np.testing.assert_array_equal(ad.mul(a, s).value, 2 * np.ones((2, 3)))
+    with pytest.raises(DimensionError, match=r"mul shapes \(\) vs \(2, 3\)"):
+        ad.mul(s, a)
     np.testing.assert_array_equal(ad.mul(a, 2.0).value, 2 * np.ones((2, 3)))
     for op in (ad.add, ad.sub):
         with pytest.raises(DimensionError):
@@ -1083,15 +1155,17 @@ def test_grad_mlp(seed):
     rng = np.random.default_rng(seed)
     params = {
         "x": rng.standard_normal((3, 4)),
+        "gamma": rng.standard_normal(4) + 1.0,
+        "beta": rng.standard_normal(4),
         "w1": rng.standard_normal((4, 5)),
         "b1": rng.standard_normal(5),
-        "w2": rng.standard_normal((5, 2)),
-        "b2": rng.standard_normal(2),
+        "w2": rng.standard_normal((5, 4)),
+        "b2": rng.standard_normal(4),
     }
-    r = rng.standard_normal((3, 2))
+    r = rng.standard_normal((3, 4))
 
     def build(tape, p):
-        out = ad.mlp(p["x"], p["w1"], p["b1"], p["w2"], p["b2"])
+        out = ad.mlp(*p.values())
         return sum_all(ad.mul(out, tape.leaf(r)))
 
     fd_check(build, params)
@@ -1145,27 +1219,32 @@ def test_grad_softmax_logsumexp_diag(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_grad_layer_norm(seed):
+    # the norm's x, gamma and beta gradients, which both sublayers share,
+    # on rows of varied scale and offset; the weights are constants
     rng = np.random.default_rng(seed)
     params = {
-        "x": rng.standard_normal((2, 3, 6)),
-        "g": rng.standard_normal(6) + 1.0,
-        "b": rng.standard_normal(6),
+        "x": rng.standard_normal((6, 5)) * rng.uniform(0.1, 10.0, (6, 1))
+        + rng.standard_normal((6, 1)) * 5.0,
+        "g": rng.standard_normal(5) + 1.0,
+        "b": rng.standard_normal(5),
     }
-    r = rng.standard_normal((2, 3, 6))
+    r = rng.standard_normal((6, 5))
+    for kind in SUBLAYER_WEIGHTS:
+        weights = sublayer_arrays(kind, rng, 5)
 
-    def build(tape, p):
-        return sum_all(
-            ad.mul(ad.layer_norm(p["x"], p["g"], p["b"]), tape.leaf(r))
-        )
+        def build(tape, p):
+            out = sublayer(kind, p["x"], p["g"], p["b"], *map(tape.leaf, weights))
+            return sum_all(ad.mul(out, tape.leaf(r)))
 
-    fd_check(build, params)
+        fd_check(build, params)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_grad_attention(seed):
     # n = 2 samples of T = 3 tokens of width D = 4
     rng = np.random.default_rng(seed)
-    params = {"x": rng.standard_normal((6, 4))}
+    params = {"x": rng.standard_normal((6, 4)), "gamma": rng.standard_normal(4) + 1.0,
+              "beta": rng.standard_normal(4)}
     for p in "qkvo":
         params[f"w{p}"] = rng.standard_normal((4, 4))
         if p != "k":
@@ -1175,7 +1254,8 @@ def test_grad_attention(seed):
     def build(tape, p):
         ws = [p[f"w{q}"] for q in "qkvo"]
         bs = [p[f"b{q}"] for q in "qvo"]
-        return sum_all(ad.mul(ad.attention(p["x"], ws, bs, 2), tape.leaf(r)))
+        out = ad.attention(p["x"], p["gamma"], p["beta"], ws, bs, 2)
+        return sum_all(ad.mul(out, tape.leaf(r)))
 
     fd_check(build, params)
 
@@ -1241,7 +1321,6 @@ def test_grad_scalar_broadcast_operands(seed):
 
     def build(tape, p):
         h = ad.mul(p["x"], p["s"])
-        h = ad.mul(p["s"], h)
         return ad.mean_all(ad.mul(h, h))
 
     fd_check(build, params)

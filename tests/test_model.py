@@ -383,9 +383,9 @@ class _ValueTape(ad.Tape):
         super().__init__()
         self.values = []
 
-    def append(self, op, value, parents, backward_fn, rebuild=None):
+    def append(self, op, value, parents, backward_fn):
         self.values.append(value)
-        return super().append(op, value, parents, backward_fn, rebuild)
+        return super().append(op, value, parents, backward_fn)
 
 
 @pytest.mark.parametrize(
@@ -393,23 +393,21 @@ class _ValueTape(ad.Tape):
     [
         (TINY, 2,
          {"leaf": 21, "linear": 2, "reshape": 3, "add_bias": 1,
-          "attention": 1, "layer_norm": 2, "add": 2, "mlp": 1,
-          "mean_axis": 1}),
+          "attention": 1, "mlp": 1, "mean_axis": 1}),
         (dataclasses.replace(TINY, patch_size=2, embed_dim=6, depth=2), 2,
          {"leaf": 36, "linear": 2, "reshape": 3, "add_bias": 1,
-          "attention": 2, "layer_norm": 4, "add": 4, "mlp": 2,
-          "mean_axis": 1}),
+          "attention": 2, "mlp": 2, "mean_axis": 1}),
         # tiles of 2 images: 2 + 2 + 1
         (TINY, 5,
          {"leaf": 23, "linear": 4, "reshape": 9, "add_bias": 3,
-          "attention": 3, "layer_norm": 6, "add": 6, "mlp": 3,
-          "mean_axis": 3, "concat_rows": 1}),
+          "attention": 3, "mlp": 3, "mean_axis": 3, "concat_rows": 1}),
     ],
     ids=["tiny", "depth2", "tiny_3tiles"],
 )
 def test_encode_project_tape(cfg, n_images, counts, monkeypatch):
-    # per block: 15 parameter leaves; the attention sublayer is one
-    # attention node and the MLP sublayer one mlp node.
+    # per block: 15 parameter leaves; the attention sublayer, its layer
+    # norm and residual add included, is one attention node, and the MLP
+    # sublayer one mlp node.
     # Around the blocks: the pixel, patch and position leaves, the patch
     # linear, the position add_bias, three reshapes, the pool, and the
     # projection's two leaves and linear.  Each further tile repeats all
@@ -840,8 +838,8 @@ def test_no_backward_rule_captures_a_tensor(monkeypatch):
         if node.backward_fn is None:
             continue
         ops.add(node.op)
-        # and none of the functions a rule keeps, such as a layer_norm's
-        # rebuild
+        # and none of the functions a rule keeps, such as a sublayer's
+        # helper that computes its weight gradients
         cells = list(node.backward_fn.__closure__ or ())
         while cells:
             held = cells.pop().cell_contents
@@ -859,10 +857,10 @@ def test_no_backward_rule_captures_a_tensor(monkeypatch):
 
 def test_encode_tape_holds_the_closed_form_activation_budget():
     # a default-config batch of 64 images is one tile of 1,024 token rows.
-    # Besides the parameters, its rules hold each layer_norm's normalized
+    # Besides the parameters, its rules hold each sublayer's layer-norm
     # rows (1,024 x 64) and inverse deviations (1,024 x 1), each attention's
     # (64, 16, 16) softmax weights and the patch linear's (1,024 x 48)
-    # pixel rows: 2,720 KiB, and no mlp or attention activation
+    # pixel rows: 2,720 KiB, and no other mlp or attention activation
     cfg = EncoderConfig()
     n = 64
     view = make_view(model.init_params(cfg, seed=4))

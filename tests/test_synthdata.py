@@ -265,6 +265,12 @@ def saved_cohort(tmp_path_factory):
         ("n_participants", 12.0),
         ("test", None),
         ("train", {"0": 1}),
+        ("train", ["a"]),
+        ("train", [1.5]),
+        ("train", [True]),
+        ("train", [999]),
+        ("train", lambda splits: splits["train"] + splits["train"][:1]),
+        ("test", lambda splits: splits["test"] + splits["train"][:1]),
     ],
     ids=[
         "no_config",
@@ -277,6 +283,12 @@ def saved_cohort(tmp_path_factory):
         "n_participants_not_int",
         "no_test_split",
         "train_split_not_list",
+        "train_id_not_int",
+        "train_id_float",
+        "train_id_bool",
+        "train_id_unknown",
+        "train_id_twice",
+        "train_id_in_test",
     ],
 )
 def test_load_cohort_malformed_manifest_raises_format_error(
@@ -285,6 +297,8 @@ def test_load_cohort_malformed_manifest_raises_format_error(
     manifest, arrays = saved_cohort
     manifest = {**manifest, "splits": dict(manifest["splits"])}
     where = manifest["splits"] if key in manifest["splits"] else manifest
+    if callable(value):  # a list made from the saved splits
+        value = value(manifest["splits"])
     if value is None:
         del where[key]
     else:
