@@ -569,16 +569,23 @@ def test_attention_rule_keeps_only_its_softmax_weights(monkeypatch):
     _assert_norm_rows(inv, xhat, x, d)
 
 
-def _mlp_and_composition(rows, d, hidden):
+def _mlp_and_composition(x_kind, rows, d, hidden):
     """Value and weight gradients of an ``mlp`` sublayer and of
     ``add(x, linear(gelu(linear(h))))`` on equal inputs, each on its own
     tape, with the layer norm's output ``h`` made by the numpy calls the
-    sublayer makes; the composition's rules are run by hand, in reverse."""
+    sublayer makes; the composition's rules are run by hand, in reverse.
+    ``x_kind`` is ``"leaf"`` for raw gaussian rows, or ``"layer_norm"`` for
+    rows that are already a layer norm's output, so the sublayer's own norm
+    sees zero-mean rows of unit deviation."""
     results = []
     for fused in (True, False):
         rng = np.random.default_rng(35)
         tape = ad.Tape()
-        x = tape.leaf(rng.standard_normal((rows, d)))
+        xv = rng.standard_normal((rows, d))
+        if x_kind == "layer_norm":
+            xv -= xv.mean(axis=-1, keepdims=True)
+            xv /= np.sqrt((xv * xv).mean(axis=-1, keepdims=True) + ad._LN_EPS)
+        x = tape.leaf(xv)
         gamma = tape.leaf(rng.standard_normal(d) + 1.0)
         beta = tape.leaf(rng.standard_normal(d))
         w1 = tape.leaf(rng.standard_normal((d, hidden)) / math.sqrt(d))
@@ -607,12 +614,13 @@ def _mlp_and_composition(rows, d, hidden):
     return results
 
 
+@pytest.mark.parametrize("x_kind", ["leaf", "layer_norm"])
 @pytest.mark.parametrize(
     "rows, d, hidden", [(5, 3, 4), (1024, 64, 128)], ids=["tiny", "tile"]
 )
-def test_mlp_is_bitwise_linear_gelu_linear(rows, d, hidden):
+def test_mlp_is_bitwise_linear_gelu_linear(x_kind, rows, d, hidden):
     # the tile is the encoder's: 64 images of 16 tokens, width 64, hidden 128
-    (y_f, grads_f), (y_c, grads_c) = _mlp_and_composition(rows, d, hidden)
+    (y_f, grads_f), (y_c, grads_c) = _mlp_and_composition(x_kind, rows, d, hidden)
     assert y_f.shape == (rows, d) and y_f.tobytes() == y_c.tobytes()
     for got, want in zip(grads_f, grads_c, strict=True):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
