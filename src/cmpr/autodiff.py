@@ -29,6 +29,13 @@ order, so each gradient is the same sum of the same arrays.  Below the
 constant, the serial walk is faster (hand-offs between the workers cost
 more than the kernels they overlap), and it starts no thread.
 
+The forward can run on two workers too, where its work splits into parts
+that share no interior node: ``model.encode`` records each tile of a batch
+on a ``part`` of the tape on either of two threads, then ``splice``
+appends the parts in order, each parameter leaf bound to the tape's own.
+The spliced tape is node for node the one a single thread records, so the
+backward (on one worker or two) cannot tell them apart.
+
 A replayed tape is bitwise equal to the first run only at the same BLAS
 thread count: OpenBLAS splits a gemm's sums by thread, so every op that
 runs a gemm (``matmul``, ``linear``, ``attention``, ``mlp``) and all that
@@ -211,6 +218,52 @@ class Tape:
         this tape already checked."""
         self.nodes.append(Node(op, parents, backward_fn))
         return Tensor(self, len(self.nodes) - 1, value)
+
+    def part(self) -> "_Part":
+        """An empty tape to record nodes on apart from this one, for
+        ``splice`` to append here later.  The part keeps each node's value
+        only where this tape's class overrides ``append``: ``Tape.append``
+        reads a value only into the Tensor it returns."""
+        return _Part(keep_values=type(self).append is not Tape.append)
+
+    def splice(
+        self, part: "_Part", out: Tensor, names: dict[int, str],
+        bind: Callable[[str], Tensor],
+    ) -> Tensor:
+        """Append the nodes of ``part`` (made by ``part()``) in their order,
+        each through ``append`` with its parents renumbered, and return this
+        tape's Tensor for ``out``, a Tensor on ``part``.
+
+        The leaf at each index in ``names`` is not appended: it stands for
+        ``bind(name)``, a Tensor on this tape, which ``bind`` may record
+        right then.  ``widest`` becomes the wider of the two tapes'.
+        """
+        values = part.values or [None] * len(part.nodes)
+        index: list[int] = []
+        for i, (node, value) in enumerate(zip(part.nodes, values)):
+            if i in names:
+                index.append(bind(names[i]).index)
+            else:
+                parents = tuple(index[p] for p in node.parents)
+                index.append(self.append(node.op, value, parents, node.backward_fn).index)
+        self.widest = max(self.widest, part.widest)
+        return Tensor(self, index[out.index], out.value)
+
+
+class _Part(Tape):
+    """A tape whose nodes ``Tape.splice`` appends to another; ``values``
+    holds each node's value when kept, else is None."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, keep_values: bool):
+        super().__init__()
+        self.values: list[np.ndarray] | None = [] if keep_values else None
+
+    def append(self, op, value, parents, backward_fn) -> Tensor:
+        if self.values is not None:
+            self.values.append(value)
+        return super().append(op, value, parents, backward_fn)
 
 
 class Gradients:
@@ -827,11 +880,14 @@ def mlp(
 
     The forward makes those ops' numpy calls, and the residual ``add``'s,
     in their order, so its value is bitwise theirs; it checks the norm's
-    variance, the pre-activation and the output.  The rule keeps the
-    norm's ``xhat`` and inverse deviations and the parameter values, and no
-    (rows, hidden) array: it recomputes the norm's output, the
-    pre-activation and gelu's tanh term, bitwise as the forward did, and
-    returns bitwise the weight gradients the three ops' rules return.
+    variance, the pre-activation and the output.  It frees the norm's
+    output once the pre-activation is formed, and computes gelu's value in
+    the buffer of its tanh term, so that only two (rows, hidden) arrays are
+    ever alive at once.  The rule keeps the norm's ``xhat`` and inverse
+    deviations and the parameter values, and no (rows, hidden) array: it
+    recomputes the norm's output, the pre-activation and gelu's tanh term,
+    bitwise as the forward did, and returns bitwise the weight gradients
+    the three ops' rules return.
     """
     tape = _same_tape(x, gamma, beta, w1, b1, w2, b2)
     if (x.value.ndim != 2 or w1.value.ndim != 2
@@ -853,9 +909,17 @@ def mlp(
 
     xhat, inv, h = _layer_norm(x.value, gv, bv, "mlp")
     u = pre_activation(h)
+    del h
     _check_finite(u, "mlp")
     with np.errstate(over="ignore", invalid="ignore"):  # surfaces as NonFiniteError
-        out = _gelu_value(u, _gelu_tanh(u)) @ w2v
+        # _gelu_value's arithmetic, in the buffer of its tanh term
+        t = _gelu_tanh(u)
+        t += 1.0
+        t *= 0.5
+        t *= u
+        del u
+        out = t @ w2v
+        del t
         out += b2v
         out += x.value
 

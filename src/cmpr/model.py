@@ -23,10 +23,24 @@ every sublayer.  The split changes no forward value (a row of a gemm does
 not depend on how many rows the gemm has).  All tiles share the
 ParamView's parameter leaves, so parameter gradients add up across tiles.
 A batch of one tile records exactly the untiled tape.
+
+A call of two tiles or more, where the process may use two CPUs, encodes
+its tiles on two workers: the calling thread and one helper thread,
+started for that call and joined before it returns, each taking the next
+tile in turn.  Each tile records on a part of the tape of its own, through
+a ParamView of its own over the same parameters, and the parts are then
+spliced into the tape in tile order (``Tape.splice``): a part's parameter
+leaf binds to the ParamView's leaf of that name, recorded there first when
+the ParamView does not hold it yet.  The tape is then node for node the
+one the tiles would record one after the other, so every forward value
+and gradient is too.  If a tile raises, nothing is spliced, and the
+exception raised is the lowest failing tile's, the one the tiles run in
+turn would meet first.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -253,17 +267,62 @@ def encode(
     Runs the encoder on consecutive tiles of at most ``_TILE_ROWS`` token
     rows, so each tile's activations stay in L2 between ops, and joins the
     pooled tiles by ``concat_rows``.  A batch that fits one tile returns
-    that tile's Tensor, so it records exactly the untiled tape.
+    that tile's Tensor, so it records exactly the untiled tape.  Several
+    tiles run on two workers when two CPUs are free to run them, spliced
+    into the tape node for node as the tiles run in turn would record them
+    (see the module docstring); if tiles raise, the lowest one's exception
+    is raised and the tape is left as it was.
     """
     if modality not in MODALITIES:
         raise ContractError(f"unknown modality {modality!r}")
     _validate_images(images, config)
-    tile = max(1, _TILE_ROWS // config.n_tokens)
-    pooled = [
-        _encode_tile(view, config, images[lo:lo + tile], modality)
-        for lo in range(0, len(images), tile)
-    ]
+    step = max(1, _TILE_ROWS // config.n_tokens)
+    tiles = [images[lo:lo + step] for lo in range(0, len(images), step)]
+    if len(tiles) == 1 or ad._cpus() < 2:
+        pooled = [_encode_tile(view, config, tile, modality) for tile in tiles]
+    else:
+        pooled = _encode_on_two_workers(view, config, tiles, modality)
     return pooled[0] if len(pooled) == 1 else ad.concat_rows(pooled)
+
+
+def _encode_on_two_workers(
+    view: ParamView, config: EncoderConfig, tiles: list[np.ndarray], modality: str
+) -> list[Tensor]:
+    """The pooled tiles, encoded on two workers and spliced into
+    ``view.tape`` in tile order (see the module docstring)."""
+    views = [ParamView(view.tape.part(), view._params) for _ in tiles]
+    pooled: list[Tensor | None] = [None] * len(tiles)
+    failed: dict[int, BaseException] = {}
+    taken = 0
+    lock = threading.Lock()
+    errstate = np.geterr()  # per thread: the helper takes the caller's
+
+    def work() -> None:
+        nonlocal taken
+        with np.errstate(**errstate):
+            while True:
+                with lock:
+                    # a tile not yet taken comes after any that failed
+                    if failed or taken == len(tiles):
+                        return
+                    i, taken = taken, taken + 1
+                try:
+                    pooled[i] = _encode_tile(views[i], config, tiles[i], modality)
+                except BaseException as exc:  # re-raised in the caller below
+                    with lock:
+                        failed[i] = exc
+
+    helper = threading.Thread(target=work, name="cmpr-encode")
+    helper.start()
+    work()
+    helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return [
+        view.tape.splice(part.tape, out, {t.index: name for name, t in part.used().items()},
+                         view.__getitem__)
+        for part, out in zip(views, pooled)
+    ]
 
 
 def _encode_tile(

@@ -95,8 +95,9 @@ class CohortConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must be a probability, got {p}")
-        if self.drift < 0.0 or self.pixel_noise < 0.0 or self.measure_noise < 0.0:
-            raise ConfigError("noise and drift levels must be non-negative")
+        if min(self.drift, self.pixel_noise, self.measure_noise, self.render_freq) < 0.0:
+            raise ConfigError(
+                "noise and drift levels and render_freq must be non-negative")
 
     def measure_affine(self) -> tuple[np.ndarray, np.ndarray]:
         if self.n_measures == len(DEFAULT_MEASURE_SCALES):

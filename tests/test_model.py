@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -249,13 +251,17 @@ def test_two_worker_backward_is_bitwise_at_either_blas_thread_count(blas_threads
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    test = f"{Path(__file__).name}::test_two_worker_backward_is_bitwise_the_serial_one"
+    # the encode's tiles rely on a gemm row not depending on the gemm's
+    # other rows, which only BLAS can promise
+    tests = [f"{Path(__file__).name}::{name}" for name in (
+        "test_two_worker_backward_is_bitwise_the_serial_one",
+        "test_two_worker_encode_is_bitwise_the_one_worker_one")]
     out = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
         cwd=Path(__file__).parent, env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stdout + out.stderr
-    assert "1 passed" in out.stdout
+    assert "3 passed" in out.stdout
 
 
 def test_init_truncation_and_zero_biases():
@@ -412,7 +418,10 @@ def test_encode_project_tape(cfg, n_images, counts, monkeypatch):
     # linear, the position add_bias, three reshapes, the pool, and the
     # projection's two leaves and linear.  Each further tile repeats all
     # but the parameter leaves, and one concat_rows joins the pools.
+    # Two CPUs, so a call of several tiles splices them in from two workers,
+    # and the tape must still see every node through its append.
     small_tiles(monkeypatch, cfg, 2)
+    monkeypatch.setattr(ad, "_cpus", lambda: 2)
     view = ParamView(_ValueTape(), model.init_params(cfg, seed=3))
     images = rand_images(np.random.default_rng(3), n_images, cfg.image_size)
     model.project(view, cfg, model.encode(view, cfg, images, "fundus"), "fundus")
@@ -421,12 +430,159 @@ def test_encode_project_tape(cfg, n_images, counts, monkeypatch):
         "leaf" if node.backward_fn is None else node.op for node in tape.nodes
     ]
     assert Counter(kinds) == counts
+    assert len(tape.values) == len(tape.nodes)
     for node, value in zip(tape.nodes, tape.values):
         if node.op == "add_bias":
             assert all(tape.nodes[p].op != "matmul" for p in node.parents)
         if node.op in ("reshape", "transpose"):
             # these two are recorded unchecked, which is sound for views only
             assert np.shares_memory(value, tape.values[node.parents[0]])
+
+
+def _seven_images_in_tiles_of_two(monkeypatch, cfg, cpus):
+    """A 7-image encode and projection in tiles of 2 (the last a remainder
+    of one), with ``cpus`` CPUs: (view, projection)."""
+    small_tiles(monkeypatch, cfg, 2)
+    monkeypatch.setattr(ad, "_cpus", lambda: cpus)
+    rng = np.random.default_rng(16)
+    view = make_view(random_params(cfg, rng))
+    images = rand_images(rng, 7, cfg.image_size)
+    return view, model.project(view, cfg, model.encode(view, cfg, images, "carotid"),
+                               "carotid")
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [TINY, dataclasses.replace(TINY, patch_size=2, embed_dim=6, depth=2)],
+    ids=["tiny", "depth2"],
+)
+def test_two_worker_encode_is_bitwise_the_one_worker_one(cfg, monkeypatch):
+    # a short switch interval interleaves the two workers' bytecode often,
+    # so a node recorded out of turn or on the wrong tile's tape would show
+    monkeypatch.setattr(ad, "_TWO_WORKER_MIN", 0)  # a two-worker backward too
+    want_view, want = _seven_images_in_tiles_of_two(monkeypatch, cfg, 1)
+    want_grads = backward_serial(want_view.tape, sum_all(want))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            view, got = _seven_images_in_tiles_of_two(monkeypatch, cfg, 2)
+            root = sum_all(got)
+            assert [(n.op, n.parents) for n in view.tape.nodes] == [
+                (n.op, n.parents) for n in want_view.tape.nodes]
+            assert view.tape.widest == want_view.tape.widest
+            assert sorted(view.used()) == sorted(want_view.used())
+            assert all(view.used()[name].index == leaf.index
+                       for name, leaf in want_view.used().items())
+            assert got.value.tobytes() == want.value.tobytes()
+            grads = ad.backward(view.tape, root)._by_node
+            for i, node in enumerate(view.tape.nodes):
+                if node.backward_fn is None:
+                    assert (grads[i] is None) == (want_grads[i] is None), node.op
+                    if grads[i] is not None:
+                        assert grads[i].tobytes() == want_grads[i].tobytes(), node.op
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n_images, cpus, started", [
+    (2, 2, 0), (7, 1, 0), (7, 2, 1),
+], ids=["one_tile", "tiles_one_cpu", "tiles_two_cpus"])
+def test_an_encode_joins_the_one_thread_it_starts(monkeypatch, n_images, cpus, started):
+    # the helper lives for one call of several tiles, where two CPUs may
+    # run them; one that lingers after its last tile is waited for
+    class Lingering(threading.Thread):
+        def run(self):
+            super().run()
+            time.sleep(0.05)
+
+    encode_tile = model._encode_tile
+    during = []
+
+    def counting(*args):
+        during.append(threading.active_count())
+        return encode_tile(*args)
+
+    small_tiles(monkeypatch, TINY, 2)
+    monkeypatch.setattr(threading, "Thread", Lingering)
+    monkeypatch.setattr(ad, "_cpus", lambda: cpus)
+    monkeypatch.setattr(model, "_encode_tile", counting)
+    before = threading.active_count()
+    images = rand_images(np.random.default_rng(5), n_images, TINY.image_size)
+    model.encode(make_view(model.init_params(TINY, seed=5)), TINY, images, "fundus")
+    assert len(during) == math.ceil(n_images / 2)
+    assert max(during) == before + started
+    assert threading.active_count() == before
+
+
+def test_a_failing_tile_raises_the_serial_loops_exception_and_splices_nothing(monkeypatch):
+    # tiles 1 and 3 of 4 raise.  Tile 1 waits until tile 3 has raised, so
+    # the first failure to happen is not the one the serial loop meets first
+    encode_tile = model._encode_tile
+    tile3_raised = threading.Event()
+
+    def failing(view, config, images, modality):
+        tile = int(round(images[0, 0, 0, 0] * 10)) // 2
+        if tile == 1 and not tile3_raised.wait(timeout=30):
+            raise TimeoutError("tile 3 never raised")
+        if tile in (1, 3):
+            if tile == 3:
+                tile3_raised.set()
+            raise ValueError(f"tile {tile}")
+        return encode_tile(view, config, images, modality)
+
+    small_tiles(monkeypatch, TINY, 2)
+    monkeypatch.setattr(ad, "_cpus", lambda: 2)
+    monkeypatch.setattr(model, "_encode_tile", failing)
+    images = np.zeros((8, 3, TINY.image_size, TINY.image_size))
+    images[:, 0, 0, 0] = np.arange(8) / 10  # image i's first pixel is i / 10
+    view = make_view(model.init_params(TINY, seed=5))
+    pos = view["fundus.pos"]
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="tile 1"):
+        model.encode(view, TINY, images, "fundus")
+    assert tile3_raised.is_set()
+    assert threading.active_count() == before
+    assert len(view.tape.nodes) == 1 and view.tape.widest == 0
+    assert view.used() == {"fundus.pos": pos}
+
+
+# a two-worker encode, then the same in a forked child; exits 0 when the
+# child's projection equals the parent's.  A child that hangs dies at the alarm
+_FORKED_ENCODE = """
+import os
+import signal
+import numpy as np
+from cmpr import autodiff as ad, model
+
+ad._cpus = lambda: 2
+cfg = model.EncoderConfig(image_size=8, embed_dim=8, depth=1, proj_dim=4,
+                          decoder_channels=[4])
+model._TILE_ROWS = 2 * cfg.n_tokens
+params = model.init_params(cfg, seed=6)
+images = np.random.default_rng(6).uniform(0.0, 1.0, (7, 3, 8, 8))
+
+def project():
+    view = model.ParamView(ad.Tape(), params)
+    return model.project(view, cfg, model.encode(view, cfg, images, "fundus"),
+                         "fundus").value
+
+want = project()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)
+    os._exit(0 if project().tobytes() == want.tobytes() else 1)
+raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_a_forked_child_runs_a_two_worker_encode():
+    # no thread is copied into a forked child, so a child that counted on
+    # one of the parent's would wait for it for ever
+    src = str(Path(model.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", _FORKED_ENCODE],
+                   env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
 
 
 def test_patchify_layout():

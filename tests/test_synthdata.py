@@ -61,6 +61,20 @@ def test_config_wrong_field_type_raises_config_error(tmp_path, key, value):
         load_cohort(path)
 
 
+@pytest.mark.parametrize("key", ["drift", "pixel_noise", "measure_noise", "render_freq"])
+def test_config_rejects_a_negative_scale(key):
+    # render_freq is the std of the rendering weights: numpy's normal would
+    # otherwise reject it only inside generate_cohort, with a ValueError
+    with pytest.raises(ConfigError, match="must be non-negative"):
+        CohortConfig(**{key: -0.35})
+
+
+def test_a_negative_render_amp_or_label_scale_generates():
+    # each only flips the sign of what it scales
+    for key in ("render_amp", "label_scale"):
+        assert len(generate_cohort(20, CohortConfig(**{key: -0.35}), 1)) >= 20
+
+
 def test_batch_at_rejects_negative_index_and_unknown_stream():
     cohort = build_cohort(40, CohortConfig(), seed=3)
     sched = StreamScheduler(cohort.samples, batch_size=4, seed=3)
